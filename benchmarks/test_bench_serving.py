@@ -524,8 +524,8 @@ def test_serving_kvtiers_warm(benchmark, tmp_path):
 #: The folding benchmark's scenario: a 64-node round-robin fleet draining
 #: a ~100k-request bursty Poisson stream of one request class.  Round-robin
 #: deals each 256-request burst 4 to a node, so the folded drain simulates
-#: ONE representative engine whose bursts collapse to weight-4 requests;
-#: the full path at this scale is ~13x slower (see BENCH_serving.json).
+#: ONE representative engine whose bursts collapse to weight-4 requests and
+#: builds request objects for that one node's slice only.
 FOLDED_NODES = 64
 FOLDED_REQUESTS = 100_352  # 64 nodes x 1568 requests
 FOLDED_BURST = 256
@@ -539,7 +539,8 @@ def _fleet_folded_drain(store):
     requests arriving in Poisson-timed bursts;
     ``fleet_symmetry="representative"`` demands the folded path, so the
     timed body is one representative engine over weighted requests plus
-    the O(requests) plan/unfold/mirror bookkeeping."""
+    the fold plan and report over flat per-request columns (the report's
+    member objects are built after timing, by the shape assertions)."""
     from repro.models import get_model
     from repro.serving import (
         BatchedArrivals,
@@ -600,7 +601,7 @@ def test_serving_fleet_folded_cold(benchmark, tmp_path):
 
 def test_serving_fleet_folded_warm(benchmark, tmp_path):
     """Warm folded drain: zero measurements -- the fold plan, the
-    representative engine, and the unfold/mirror pass are what's timed."""
+    representative engine, and the fold-table report are what's timed."""
     store_dir = tmp_path / "ffwarm"
     clear_memory_layer()
     _fleet_folded_drain(CalibrationStore(store_dir))

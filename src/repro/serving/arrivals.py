@@ -19,7 +19,9 @@ from __future__ import annotations
 import abc
 import json
 import math
+import operator
 import random
+from itertools import repeat
 from pathlib import Path
 from typing import Sequence
 
@@ -42,24 +44,38 @@ class ArrivalProcess(abc.ABC):
     def arrival_times(self, n: int) -> list[float]:
         """Non-decreasing arrival timestamps for ``n`` requests."""
 
-    def assign(self, queue: Sequence[ServingRequest]) -> list[ServingRequest]:
-        """Stamp ``queue`` (in request-id order) with this process's times."""
-        times = self.arrival_times(len(queue))
-        if len(times) != len(queue):
+    def checked_times(
+        self, n: int, request_ids: Sequence[int] | None = None
+    ) -> list[float]:
+        """:meth:`arrival_times` for ``n`` requests, validated, as floats.
+
+        Raises :class:`~repro.errors.SchedulingError` when the process
+        returns the wrong count, decreasing times, or a negative time (named
+        by ``request_ids[i]``, or by position ``i`` without ids).
+        """
+        times = self.arrival_times(n)
+        if len(times) != n:
             raise SchedulingError(
                 f"{type(self).__name__} produced {len(times)} times for "
-                f"{len(queue)} requests"
+                f"{n} requests"
             )
-        if any(b < a for a, b in zip(times, times[1:])):
+        if any(map(operator.lt, times[1:], times)):
             raise SchedulingError(
                 f"{type(self).__name__} produced decreasing arrival times"
             )
+        if any(map(operator.lt, times, repeat(0))):
+            index = next(i for i, time in enumerate(times) if time < 0)
+            request_id = index if request_ids is None else request_ids[index]
+            raise SchedulingError(
+                f"negative arrival time {times[index]} for request {request_id}"
+            )
+        return list(map(float, times))
+
+    def assign(self, queue: Sequence[ServingRequest]) -> list[ServingRequest]:
+        """Stamp ``queue`` (in request-id order) with this process's times."""
+        times = self.checked_times(len(queue), [r.request_id for r in queue])
         for request, time in zip(queue, times):
-            if time < 0:
-                raise SchedulingError(
-                    f"negative arrival time {time} for request {request.request_id}"
-                )
-            request.arrival_time = float(time)
+            request.arrival_time = time
         return list(queue)
 
 

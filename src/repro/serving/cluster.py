@@ -53,11 +53,12 @@ the drain partitions the arrival stream per the router's deterministic
 cycle, groups nodes receiving identical slices, simulates **one**
 representative :class:`~repro.serving.engine.NodeEngine` per group (with
 identical queued requests folded into weighted representatives, see
-:mod:`repro.serving.request`), and reconstructs the fleet report by
-mirroring each representative's outcome onto its group -- a 1000-node
-drain at the cost of one node.  Heterogeneous fleets, load-dependent
-routers (JSQ, BestFitKV), faults, overload control, and autoscaling all
-auto-fall back to full-fleet simulation; ``"full"`` forces the fallback
+:mod:`repro.serving.request`), and reports from (representative outcome,
+multiplicity) units -- a 1000-node drain at the cost of one node, with
+per-request objects built only for the representatives' slices (and for
+every member only if the report's request list is read).  Heterogeneous
+fleets, load-dependent routers (JSQ, BestFitKV), faults, overload
+control, and autoscaling all auto-fall back to full-fleet simulation; ``"full"`` forces the fallback
 and ``"representative"`` demands folding (raising a
 :class:`~repro.errors.ConfigurationError` naming the blocker when the
 fleet cannot fold), mirroring the device-array ``symmetry`` modes.
@@ -65,7 +66,10 @@ fleet cannot fold), mirroring the device-array ``symmetry`` modes.
 
 from __future__ import annotations
 
+import dataclasses
+from array import array
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Sequence
 
 from repro.analysis.sanitizer import SanitizerError
@@ -76,6 +80,7 @@ from repro.serving.autoscale import Autoscaler, AutoscalePolicy
 from repro.serving.engine import Node, NodeEngine
 from repro.serving.faults import FaultDriver, FaultSchedule
 from repro.serving.metrics import (
+    NodeBreakdown,
     ServingReport,
     build_fleet_report,
     build_report,
@@ -83,10 +88,9 @@ from repro.serving.metrics import (
 )
 from repro.serving.overload import OverloadControl
 from repro.serving.policies import ContinuousBatching, SchedulingPolicy
-from repro.serving.request import ServingRequest, make_request_queue
+from repro.serving.request import FoldTable, LazyRequests, ServingRequest
 from repro.serving.routers import Router, RoundRobin
 from repro.sim.engine import Simulator
-from repro.sim.metrics import mirrored_sum
 from repro.workloads.requests import RequestClass
 
 #: Slot count of the default policy when a cluster is built without one.
@@ -99,28 +103,65 @@ FLEET_SYMMETRY_MODES = ("auto", "full", "representative")
 
 def as_request_queue(
     requests: Sequence[RequestClass] | Sequence[ServingRequest],
+    arrivals: ArrivalProcess | None = None,
 ) -> list[ServingRequest]:
-    """Validate and normalise a drain's input queue.
+    """Validate and normalise a drain's input queue, stamping ``arrivals``.
 
     Every element is type-checked (mixed queues raise with the offending
-    index); bare :class:`RequestClass` shapes are wrapped as an id-ordered
-    all-at-time-zero queue.
+    index).  Caller-built :class:`ServingRequest` queues must be fresh --
+    a request that was already admitted, finished, shed or folded would
+    make the drain report garbage -- and are stamped in place.  Bare
+    :class:`RequestClass` shapes become an id-ordered
+    :class:`~repro.serving.request.LazyRequests` held as two columns,
+    classes and arrival times (zero without ``arrivals``); its
+    :class:`ServingRequest` objects are built only when something reads
+    the list, which a folded drain never does.
     """
     if not requests:
         raise SchedulingError("cannot drain an empty request queue")
     expected: type = (
         ServingRequest if isinstance(requests[0], ServingRequest) else RequestClass
     )
-    for index, request in enumerate(requests):
-        if not isinstance(request, expected):
+    if not all(map(isinstance, requests, repeat(expected))):
+        index, request = next(
+            (i, r) for i, r in enumerate(requests) if not isinstance(r, expected)
+        )
+        raise SchedulingError(
+            f"mixed request queue: element {index} is "
+            f"{type(request).__name__}, expected {expected.__name__} "
+            "(queues must be all RequestClass or all ServingRequest)"
+        )
+    if expected is RequestClass:
+        n = len(requests)
+        times = [0.0] * n if arrivals is None else arrivals.checked_times(n)
+        return LazyRequests.from_columns(range(n), list(requests), times)
+    queue: list[ServingRequest] = list(requests)  # type: ignore[arg-type]
+    for index, request in enumerate(queue):
+        state = _lifecycle_state(request)
+        if state is not None:
             raise SchedulingError(
-                f"mixed request queue: element {index} is "
-                f"{type(request).__name__}, expected {expected.__name__} "
-                "(queues must be all RequestClass or all ServingRequest)"
+                f"stale request queue: element {index} is already {state}, "
+                "expected a fresh request (a drained queue cannot be drained "
+                "again; build a new one)"
             )
-    if expected is ServingRequest:
-        return list(requests)  # type: ignore[arg-type]
-    return make_request_queue(list(requests))  # type: ignore[arg-type]
+    if arrivals is not None:
+        arrivals.assign(queue)
+    return queue
+
+
+def _lifecycle_state(request: ServingRequest) -> str | None:
+    """The lifecycle state a queued request already carries, if any."""
+    if request.finished:
+        return "finished"
+    if request.shed:
+        return "shed"
+    if request.admitted:
+        return "admitted"
+    if request.weight != 1:
+        return f"weighted (weight {request.weight})"
+    if request.folded or request.folded_into is not None:
+        return "folded"
+    return None
 
 
 def check_report_conservation(
@@ -226,11 +267,33 @@ def check_report_conservation(
                     invariant="tier-conservation",
                     sim_time=sim_time,
                 )
-    # Fold conservation: a representative (folded) drain must unfold every
-    # weighted request back to plain members before reporting -- the queue's
-    # member count is exactly n_requests, so any weight left above 1 (or
-    # below) means a fold was dropped or double-counted.
-    for request in report.requests:
+    # Fold conservation: a folded drain's (representative, multiplicity)
+    # table must cover the queue exactly -- every unit stands for at least
+    # one member and the units sum to n_requests.  Member objects are
+    # checked only where they already exist (a plain list, or lazy members
+    # somebody read): building them here would cost the whole queue.
+    requests = report.requests
+    folding = requests.folding if isinstance(requests, LazyRequests) else None
+    if folding is not None:
+        for unit, multiplicity in enumerate(folding.multiplicity):
+            if multiplicity < 1:
+                raise SanitizerError(
+                    f"fold unit {unit} has multiplicity {multiplicity}; every "
+                    "unit stands for at least one request",
+                    invariant="fold-conservation",
+                    sim_time=sim_time,
+                )
+        member_total = sum(folding.multiplicity)
+        if member_total != report.n_requests:
+            raise SanitizerError(
+                f"fleet report counts {report.n_requests} n_requests but the "
+                f"fold table's multiplicities sum to {member_total} members",
+                invariant="fold-conservation",
+                sim_time=sim_time,
+            )
+    if isinstance(requests, LazyRequests) and not requests.materialised:
+        return
+    for request in requests:
         if request.weight < 1:
             raise SanitizerError(
                 f"request {request.request_id} reports weight "
@@ -238,8 +301,8 @@ def check_report_conservation(
                 invariant="fold-conservation",
                 sim_time=sim_time,
             )
-    if report.requests:
-        member_total = sum(r.weight for r in report.requests)
+    if requests:
+        member_total = sum(r.weight for r in requests)
         if member_total != report.n_requests:
             raise SanitizerError(
                 f"fleet report counts {report.n_requests} n_requests but the "
@@ -262,8 +325,30 @@ class _FoldGroup:
 
     representative: int
     members: list[int] = field(default_factory=list)
-    #: Node index -> that node's slice of the arrival stream, FCFS order.
-    slices: dict[int, list[ServingRequest]] = field(default_factory=dict)
+    #: Node index -> the queue positions of that node's slice, FCFS order.
+    slices: dict[int, list[int]] = field(default_factory=dict)
+
+
+def _fold_table(
+    plan: list[_FoldGroup], group_units: list[list[ServingRequest]], n_members: int
+) -> FoldTable:
+    """The (representative, multiplicity) table of a folded drain.
+
+    ``group_units[g]`` holds group ``g``'s outcome per slice position; each
+    counts once per node of the group, and every node's slice maps its
+    queue members onto those positions in order.
+    """
+    outcomes: list[ServingRequest] = []
+    multiplicity: list[int] = []
+    members = array("q", bytes(8 * n_members))
+    for group, units in zip(plan, group_units):
+        base = len(outcomes)
+        outcomes.extend(units)
+        multiplicity.extend([len(group.members)] * len(units))
+        for index in group.members:
+            for unit, q in enumerate(group.slices[index], base):
+                members[q] = unit
+    return FoldTable(outcomes, multiplicity, members)
 
 
 class ClusterScheduler:
@@ -417,14 +502,11 @@ class ClusterScheduler:
         carry (zero for queues built from bare :class:`RequestClass`
         shapes -- the classic offline drain).
         """
-        queue = as_request_queue(requests)
-        if arrivals is not None:
-            arrivals.assign(queue)
+        queue = as_request_queue(requests, arrivals)
         self.router.reset()
+        if self._folds():
+            return self._drain_folded(queue)
         ordered = sorted(queue, key=lambda r: (r.arrival_time, r.request_id))
-        plan = self._fold_plan(ordered)
-        if plan is not None:
-            return self._drain_folded(queue, ordered, plan)
         sim = Simulator()
         engines = [NodeEngine(node, self.policy, sim) for node in self.nodes]
         # Snapshot the (shared, monotonic) clamp counters so this drain's
@@ -597,93 +679,128 @@ class ClusterScheduler:
 
     # --- the folded (representative) drain --------------------------------------
 
-    def _fold_plan(self, ordered: list[ServingRequest]) -> "list[_FoldGroup] | None":
-        """Partition the stream per the router's cycle and group the nodes.
+    def _folds(self) -> bool:
+        """Whether this drain takes the folded (representative) path.
 
-        Returns ``None`` when this drain must take the full-fleet path:
-        ``fleet_symmetry="full"``, an ineligible fleet under ``"auto"``, or
-        a single node under ``"auto"`` (preserving the preloaded 1-node
-        bit-identity path).  Otherwise every node's slice is computed from
-        :meth:`~repro.serving.routers.Router.static_assignments` and nodes
-        whose slices are identical (same request classes, arrival times,
-        and incoming weights, position by position) merge into one
-        :class:`_FoldGroup`.
+        Not under ``fleet_symmetry="full"``, nor under ``"auto"`` for an
+        ineligible fleet or a single node (preserving the preloaded 1-node
+        bit-identity path).
         """
         if self.fleet_symmetry == "full":
-            return None
-        if self.fleet_symmetry == "auto" and (
-            len(self.nodes) == 1 or self._fold_ineligibility() is not None
-        ):
-            return None
-        assignments = self.router.static_assignments(len(ordered), len(self.nodes))
-        if len(assignments) != len(ordered) or any(
-            not 0 <= index < len(self.nodes) for index in assignments
+            return False
+        return self.fleet_symmetry == "representative" or (
+            len(self.nodes) > 1 and self._fold_ineligibility() is None
+        )
+
+    def _fold_plan(
+        self,
+        order: Sequence[int],
+        classes: Sequence[RequestClass],
+        arrival_times: Sequence[float],
+    ) -> list[_FoldGroup]:
+        """Partition the stream per the router's cycle and group the nodes.
+
+        ``order`` lists the queue positions in arrival order.  Every node's
+        slice comes from
+        :meth:`~repro.serving.routers.Router.static_assignments`, and nodes
+        whose slices carry identical request classes and arrival times,
+        position by position, merge into one :class:`_FoldGroup`.  Slices
+        are compared as per-node columns, not per-request signature tuples.
+        """
+        n_nodes = len(self.nodes)
+        assignments = self.router.static_assignments(len(order), n_nodes)
+        if len(assignments) != len(order) or (
+            assignments and not 0 <= min(assignments) <= max(assignments) < n_nodes
         ):
             raise SchedulingError(
                 f"router {self.router.name!r} produced an invalid static "
-                f"assignment for {len(ordered)} requests over "
-                f"{len(self.nodes)} nodes"
+                f"assignment for {len(order)} requests over "
+                f"{n_nodes} nodes"
             )
-        slices: list[list[ServingRequest]] = [[] for _ in self.nodes]
-        for request, node_index in zip(ordered, assignments):
-            slices[node_index].append(request)
-        groups: dict[tuple, _FoldGroup] = {}
-        for index in range(len(self.nodes)):
-            signature = tuple(
-                (request.request_class, request.arrival_time, request.weight)
-                for request in slices[index]
+        slices: list[list[int]] = [[] for _ in self.nodes]
+        for position, node_index in zip(order, assignments):
+            slices[node_index].append(position)
+        groups: list[_FoldGroup] = []
+        # Slices keyed by their arrival-time column; nodes sharing one
+        # compare class columns (identity-fast list equality).
+        by_times: dict[tuple, list[tuple[list, _FoldGroup]]] = {}
+        for index, positions in enumerate(slices):
+            node_classes = list(map(classes.__getitem__, positions))
+            candidates = by_times.setdefault(
+                tuple(map(arrival_times.__getitem__, positions)), []
             )
-            group = groups.get(signature)
-            if group is None:
-                groups[signature] = _FoldGroup(
-                    representative=index,
-                    members=[index],
-                    slices={index: slices[index]},
-                )
+            for group_classes, group in candidates:
+                if group_classes == node_classes:
+                    group.members.append(index)
+                    group.slices[index] = positions
+                    break
             else:
-                group.members.append(index)
-                group.slices[index] = slices[index]
-        return list(groups.values())
+                group = _FoldGroup(
+                    representative=index, members=[index], slices={index: positions}
+                )
+                candidates.append((node_classes, group))
+                groups.append(group)
+        return groups
 
-    def _drain_folded(
-        self,
-        queue: list[ServingRequest],
-        ordered: list[ServingRequest],
-        plan: list[_FoldGroup],
-    ) -> ServingReport:
+    def _drain_folded(self, queue: list[ServingRequest]) -> ServingReport:
         """Run one representative engine per node group and mirror the rest.
 
-        Each representative's slice is delivered request by request by a
-        single dispatcher walking the merged arrival order -- the
-        dispatcher wakes at exactly the instants the full-fleet dispatcher
-        delivers to the representative (every mirrored node's arrival
-        times are, by group construction, also its representative's), so
-        the event interleaving matches the full path.  Request folding
-        happens *inside* each representative engine
+        Only the representatives' slices become :class:`ServingRequest`
+        objects.  They are delivered request by request by a single
+        dispatcher walking the merged arrival order -- the dispatcher wakes
+        at exactly the instants the full-fleet dispatcher delivers to the
+        representative (every mirrored node's arrival times are, by group
+        construction, also its representative's), so the event
+        interleaving matches the full path.  Request folding happens
+        *inside* each representative engine
         (:attr:`~repro.serving.engine.NodeEngine.fold_requests`): at every
         scheduling point, adjacent identical waiting requests collapse into
         weighted representatives -- folding at delivery time would merge
         requests the full path admits separately, because a parked engine
         wakes (and admits) inside the dispatcher's first same-time
-        delivery, before the rest of a burst reaches its queue.  After the
-        drain the representatives unfold onto their members, outcomes
-        mirror onto every symmetric node's slice positionally, and the
-        per-node breakdowns carry identical (mirrored) figures.
+        delivery, before the rest of a burst reaches its queue.
+
+        After the drain nothing is unfolded or mirrored member by member:
+        each slice position's outcome is the representative it ended up
+        folded into, a :class:`~repro.serving.request.FoldTable` maps every
+        queue member to that position with its group's multiplicity, and
+        the report reads the table (building member objects only if asked).
+        Mirrored nodes get their representative's breakdown under their
+        own name; caller-built queues get every outcome written back.
         """
+        if isinstance(queue, LazyRequests):
+            owned = None
+            request_ids, classes, arrival_times = queue.columns
+            # Id order is arrival order: checked_times is non-decreasing.
+            order: Sequence[int] = range(len(request_ids))
+        else:
+            owned = queue
+            request_ids = [r.request_id for r in owned]
+            classes = [r.request_class for r in owned]
+            arrival_times = [r.arrival_time for r in owned]
+            order = sorted(
+                range(len(owned)), key=lambda q: (arrival_times[q], request_ids[q])
+            )
+        plan = self._fold_plan(order, classes, arrival_times)
         sim = Simulator()
         step_times = {id(n.step_time): n.step_time for n in self.nodes}
         counters_before = {
             key: model.clamp_counters() for key, model in step_times.items()
         }
-        position = {id(request): k for k, request in enumerate(ordered)}
         engines: dict[int, NodeEngine] = {}
-        deliveries: list[tuple[int, NodeEngine, ServingRequest]] = []
+        pieces: dict[int, list[ServingRequest]] = {}
+        deliveries: list[tuple[tuple, NodeEngine, ServingRequest]] = []
         for group in plan:
             engine = NodeEngine(self.nodes[group.representative], self.policy, sim)
             engine.fold_requests = True
             engines[group.representative] = engine
-            for piece in group.slices[group.representative]:
-                deliveries.append((position[id(piece)], engine, piece))
+            pieces[group.representative] = rep_pieces = []
+            for q in group.slices[group.representative]:
+                piece = ServingRequest(request_ids[q], classes[q], arrival_times[q])
+                rep_pieces.append(piece)
+                # Merged arrival order: (time, id), ties in queue order.
+                key = (arrival_times[q], request_ids[q], q)
+                deliveries.append((key, engine, piece))
         deliveries.sort(key=lambda item: item[0])
         processes = [
             sim.process(
@@ -701,72 +818,54 @@ class ClusterScheduler:
                 engine.tracker.assert_drained(context=f"node {engine.node.name!r}")
             sim.sanitize_check_drained()
         notes = self._step_time_notes(step_times, counters_before)
-        # Unfold each representative's outcome onto its folded members,
-        # then mirror the representative slice onto every symmetric node's
-        # slice positionally (the queue objects are shared, so the fleet
-        # report sees fully-populated plain requests).
-        for group in plan:
-            rep_slice = group.slices[group.representative]
-            for request in rep_slice:
-                if request.folded_into is not None:
-                    request.copy_outcome_from(request.folded_into)
-                    request.folded_into = None
-                request.folded = []
-                request.weight = 1
-            for index in group.members:
-                if index == group.representative:
-                    continue
-                for mirror, original in zip(group.slices[index], rep_slice):
-                    mirror.copy_outcome_from(original)
-        group_of = {
-            index: group for group in plan for index in group.members
-        }
-        breakdowns = tuple(
-            node_breakdown(
-                node.name,
-                node.system,
-                group_of[index].slices[index],
+
+        # Each slice position's outcome is the representative it ended up in.
+        group_units = [
+            [piece.folded_into or piece for piece in pieces[group.representative]]
+            for group in plan
+        ]
+        folding = _fold_table(plan, group_units, len(request_ids))
+        breakdowns: dict[int, NodeBreakdown] = {}
+        for group, units in zip(plan, group_units):
+            rep = group.representative
+            positions = group.slices[rep]
+            rep_slice = LazyRequests.from_columns(
+                [request_ids[q] for q in positions],
+                [classes[q] for q in positions],
+                [arrival_times[q] for q in positions],
+                folding=FoldTable(units, [1] * len(units), range(len(units))),
+            )
+            breakdown = node_breakdown(
+                self.nodes[rep].name,
+                self.nodes[rep].system,
+                rep_slice,
                 makespan_seconds=sim.now,
-                peak_kv_reserved_bytes=engines[
-                    group_of[index].representative
-                ].tracker.peak_reserved_bytes,
-                kv_capacity_bytes=node.budget.kv_capacity_bytes,
+                peak_kv_reserved_bytes=engines[rep].tracker.peak_reserved_bytes,
+                kv_capacity_bytes=self.nodes[rep].budget.kv_capacity_bytes,
             )
-            for index, node in enumerate(self.nodes)
-        )
-        if sim.sanitizer is not None:
-            # Mirroring invariant: the summed breakdowns must equal each
-            # representative's totals scaled by its group multiplicity --
-            # the same mirrored-sum arithmetic device-level symmetry uses.
-            mirrored_tokens = sum(
-                mirrored_sum(
-                    [group.slices[group.representative]],
-                    lambda rep_slice: sum(
-                        r.tokens_generated for r in rep_slice if r.finished
-                    ),
-                    multiplier=len(group.members),
+            for index in group.members:
+                breakdowns[index] = dataclasses.replace(
+                    breakdown, node=self.nodes[index].name
                 )
-                for group in plan
-            )
-            breakdown_tokens = sum(b.generated_tokens for b in breakdowns)
-            if mirrored_tokens != breakdown_tokens:
-                raise SanitizerError(
-                    f"mirrored representative totals ({mirrored_tokens} "
-                    f"tokens) disagree with the summed node breakdowns "
-                    f"({breakdown_tokens})",
-                    invariant="fold-conservation",
-                    sim_time=sim.now,
-                )
+        if owned is None:
+            queue.folding = folding
+            reported = queue
+        else:
+            for request, unit in zip(owned, folding.members):
+                request.copy_outcome_from(folding.outcomes[unit])
+            reported = LazyRequests(owned)
+            reported.folding = folding
+        node_reports = tuple(breakdowns[index] for index in range(len(self.nodes)))
         if len(self.nodes) == 1:
             report = build_report(
                 self.nodes[0].system,
                 self.policy.name,
-                queue,
+                reported,
                 makespan_seconds=sim.now,
                 peak_kv_reserved_bytes=engines[0].tracker.peak_reserved_bytes,
                 kv_capacity_bytes=self.nodes[0].budget.kv_capacity_bytes,
                 step_time_notes=notes,
-                node_reports=breakdowns,
+                node_reports=node_reports,
                 fleet_symmetry="representative",
             )
         else:
@@ -774,9 +873,9 @@ class ClusterScheduler:
                 fleet_name=self.fleet_name,
                 policy_name=self.policy.name,
                 router_name=self.router.name,
-                requests=queue,
+                requests=reported,
                 makespan_seconds=sim.now,
-                node_reports=breakdowns,
+                node_reports=node_reports,
                 step_time_notes=notes,
                 fleet_symmetry="representative",
             )

@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from repro.analysis.cost import CostModel, cost_efficiency
 from repro.baselines.base import InferenceSystem
 from repro.errors import SchedulingError
-from repro.serving.request import ServingRequest
+from repro.serving.request import FoldTable, LazyRequests, ServingRequest
 
 
 def percentile(values: list[float], fraction: float) -> float:
@@ -276,6 +277,11 @@ class ServingReport:
     #: ``"full"`` when every node was simulated, ``""`` for single-node
     #: legacy-shape reports.
     fleet_symmetry: str = ""
+    #: Per-request outcomes, in queue order, as plain weight-1 requests.
+    #: A folded drain reports a :class:`~repro.serving.request.LazyRequests`:
+    #: its figures come from (representative, multiplicity) units, and the
+    #: member objects -- one per request -- are built only when this list
+    #: is first read, then cached (``len()`` alone builds nothing).
     requests: list[ServingRequest] = field(default_factory=list, repr=False)
     #: Structured warnings from the step-time model (e.g. queries clamped to
     #: the calibration grid edge); empty when the drain stayed on-grid.
@@ -319,6 +325,103 @@ class ServingReport:
         return {name: sum(vals) / len(vals) for name, vals in sums.items()}
 
 
+@dataclass
+class _Summary:
+    """What a report needs from its requests, read over outcome units.
+
+    A plain request list is one unit per request; a folded drain's
+    :class:`~repro.serving.request.LazyRequests` gives one unit per
+    representative-slice position with its multiplicity, so integer
+    totals multiply instead of iterating members.  The latency and
+    queueing columns list every finished *member* in queue order, so
+    their means sum the same floats in the same order as the member list.
+    """
+
+    n_requests: int
+    completed: int
+    generated_tokens: int
+    latencies: list[float]
+    queueing: list[float]
+    #: Finished units' latencies and multiplicities: the exact
+    #: weight-expanded multiset :func:`weighted_percentile` ranks.
+    unit_latencies: list[float]
+    unit_weights: list[int]
+    preemptions: int
+    wasted_prefill_tokens: int
+    migrations: int
+    migrated_recompute_tokens: int
+    retry_attempts: int
+
+    def mean_latency(self) -> float:
+        return sum(self.latencies) / len(self.latencies) if self.latencies else 0.0
+
+    def mean_queueing(self) -> float:
+        return sum(self.queueing) / len(self.queueing) if self.queueing else 0.0
+
+    def latency_percentile(self, fraction: float) -> float:
+        if not self.unit_latencies:
+            return 0.0
+        return weighted_percentile(self.unit_latencies, self.unit_weights, fraction)
+
+
+def _summarise(requests) -> _Summary:
+    """Fold-aware totals and columns of a report's request list."""
+    folding = requests.folding if isinstance(requests, LazyRequests) else None
+    if folding is None:
+        units: Sequence[ServingRequest] = list(requests)
+        counts: Sequence[int] = [1] * len(units)
+    else:
+        units, counts = folding.outcomes, folding.multiplicity
+    done = [k for k, unit in enumerate(units) if unit.finished]
+    weights = [counts[k] for k in done]
+    latencies = [units[k].latency_seconds for k in done]
+    queueing = [units[k].queueing_seconds for k in done]
+    unit_latencies = latencies
+    if folding is not None:
+        latencies = _member_column(folding, len(units), done, latencies)
+        queueing = _member_column(folding, len(units), done, queueing)
+
+    def total(name: str, over) -> int:
+        return sum(getattr(units[k], name) * counts[k] for k in over)
+
+    every = range(len(units))
+    return _Summary(
+        n_requests=len(requests),
+        completed=sum(weights),
+        generated_tokens=total("tokens_generated", done),
+        latencies=latencies,
+        queueing=queueing,
+        unit_latencies=unit_latencies,
+        unit_weights=weights,
+        preemptions=total("preemption_count", every),
+        wasted_prefill_tokens=total("wasted_prefill_tokens", every),
+        migrations=total("migration_count", every),
+        migrated_recompute_tokens=total("migrated_recompute_tokens", every),
+        retry_attempts=total("retry_attempts", every),
+    )
+
+
+def _member_column(
+    folding: FoldTable, n_units: int, done: list[int], values: list[float]
+) -> list[float]:
+    """Finished units' ``values`` expanded to every finished member, in queue order."""
+    per_unit: list = [None] * n_units
+    for k, value in zip(done, values):
+        per_unit[k] = value
+    column = folding.expand(per_unit)
+    if len(done) < n_units:
+        column = [value for value in column if value is not None]
+    return column
+
+
+def _kept(requests) -> list[ServingRequest]:
+    """The list a report keeps: a folded drain's lazy members as they are
+    (reading them is what builds them), otherwise a copy."""
+    if isinstance(requests, LazyRequests) and requests.folding is not None:
+        return requests
+    return list(requests)
+
+
 def build_report(
     system: InferenceSystem,
     policy_name: str,
@@ -331,44 +434,38 @@ def build_report(
     fleet_symmetry: str = "",
 ) -> ServingReport:
     """Aggregate per-request state into a :class:`ServingReport`."""
-    finished = [r for r in requests if r.finished]
-    if not finished:
+    summary = _summarise(requests)
+    if not summary.completed:
         raise SchedulingError("drain completed no requests; nothing to report")
     if makespan_seconds <= 0:
         raise SchedulingError("drain makespan must be positive")
-    latencies = [r.latency_seconds for r in finished]
-    weights = [r.weight for r in finished]
-    queueing = [r.queueing_seconds for r in finished]
-    generated = sum(r.tokens_generated for r in finished)
-    tokens_per_second = generated / makespan_seconds
+    tokens_per_second = summary.generated_tokens / makespan_seconds
     cost = system_cost_model(system)
     return ServingReport(
         system=system.name,
         policy=policy_name,
-        n_requests=len(requests),
-        completed=len(finished),
+        n_requests=summary.n_requests,
+        completed=summary.completed,
         makespan_seconds=makespan_seconds,
-        generated_tokens=generated,
+        generated_tokens=summary.generated_tokens,
         tokens_per_second=tokens_per_second,
-        mean_latency_seconds=sum(latencies) / len(latencies),
-        p95_latency_seconds=weighted_percentile(latencies, weights, 0.95),
-        p50_latency_seconds=weighted_percentile(latencies, weights, 0.50),
-        p99_latency_seconds=weighted_percentile(latencies, weights, 0.99),
-        mean_queueing_seconds=sum(queueing) / len(queueing),
+        mean_latency_seconds=summary.mean_latency(),
+        p95_latency_seconds=summary.latency_percentile(0.95),
+        p50_latency_seconds=summary.latency_percentile(0.50),
+        p99_latency_seconds=summary.latency_percentile(0.99),
+        mean_queueing_seconds=summary.mean_queueing(),
         peak_kv_reserved_bytes=peak_kv_reserved_bytes,
         kv_capacity_bytes=kv_capacity_bytes,
         system_cost_usd=cost.total_usd(),
         tokens_per_second_per_usd=cost_efficiency(tokens_per_second, cost),
-        preemptions=sum(r.preemption_count for r in requests),
-        wasted_prefill_tokens=sum(r.wasted_prefill_tokens for r in requests),
-        migrations=sum(r.migration_count for r in requests),
-        migrated_recompute_tokens=sum(
-            r.migrated_recompute_tokens for r in requests
-        ),
+        preemptions=summary.preemptions,
+        wasted_prefill_tokens=summary.wasted_prefill_tokens,
+        migrations=summary.migrations,
+        migrated_recompute_tokens=summary.migrated_recompute_tokens,
         downtime_seconds=sum(n.downtime_seconds for n in node_reports),
         goodput_tokens_per_s=tokens_per_second,
         fleet_symmetry=fleet_symmetry,
-        requests=list(requests),
+        requests=_kept(requests),
         step_time_notes=dict(step_time_notes or {}),
         node_reports=node_reports,
         billing_notes=tuple(
@@ -408,46 +505,34 @@ def node_breakdown(
     node that was down part of the drain is billed only its uptime
     fraction of the capital cost (see :func:`uptime_billing`).
     """
-    finished = [r for r in assigned if r.finished]
-    generated = sum(r.tokens_generated for r in finished)
-    latencies = [r.latency_seconds for r in finished]
-    weights = [r.weight for r in finished]
+    summary = _summarise(assigned)
+    generated = summary.generated_tokens
     cost_usd, billing_note = uptime_billing(
         system_cost_model(system).total_usd(), downtime_seconds, makespan_seconds
     )
     return NodeBreakdown(
         node=node_name,
         system=system.name,
-        n_requests=len(assigned),
-        completed=len(finished),
+        n_requests=summary.n_requests,
+        completed=summary.completed,
         generated_tokens=generated,
         tokens_per_second=(
             generated / makespan_seconds if makespan_seconds > 0 else 0.0
         ),
-        mean_latency_seconds=(
-            sum(latencies) / len(latencies) if latencies else 0.0
-        ),
+        mean_latency_seconds=summary.mean_latency(),
         peak_kv_reserved_bytes=peak_kv_reserved_bytes,
         kv_capacity_bytes=kv_capacity_bytes,
-        preemptions=sum(r.preemption_count for r in assigned),
-        wasted_prefill_tokens=sum(r.wasted_prefill_tokens for r in assigned),
+        preemptions=summary.preemptions,
+        wasted_prefill_tokens=summary.wasted_prefill_tokens,
         cost_usd=cost_usd,
-        p50_latency_seconds=(
-            weighted_percentile(latencies, weights, 0.50) if latencies else 0.0
-        ),
-        p95_latency_seconds=(
-            weighted_percentile(latencies, weights, 0.95) if latencies else 0.0
-        ),
-        p99_latency_seconds=(
-            weighted_percentile(latencies, weights, 0.99) if latencies else 0.0
-        ),
+        p50_latency_seconds=summary.latency_percentile(0.50),
+        p95_latency_seconds=summary.latency_percentile(0.95),
+        p99_latency_seconds=summary.latency_percentile(0.99),
         migrations=migrations,
         migrated_recompute_tokens=migrated_recompute_tokens,
         downtime_seconds=downtime_seconds,
         shed_requests=shed_requests,
-        retry_attempts=(
-            sum(r.retry_attempts for r in assigned) + shed_retry_attempts
-        ),
+        retry_attempts=summary.retry_attempts + shed_retry_attempts,
         goodput_tokens_per_s=(
             generated / makespan_seconds if makespan_seconds > 0 else 0.0
         ),
@@ -479,58 +564,42 @@ def build_fleet_report(
     timelines; a drain that shed *everything* still reports (with zeroed
     latency figures) -- structured degradation, not an exception.
     """
-    finished = [r for r in requests if r.finished]
-    if not finished and not sheds:
+    summary = _summarise(requests)
+    if not summary.completed and not sheds:
         raise SchedulingError("fleet drain completed no requests; nothing to report")
     if makespan_seconds <= 0:
         raise SchedulingError("fleet drain makespan must be positive")
-    latencies = [r.latency_seconds for r in finished]
-    weights = [r.weight for r in finished]
-    queueing = [r.queueing_seconds for r in finished]
-    generated = sum(r.tokens_generated for r in finished)
-    tokens_per_second = generated / makespan_seconds
+    tokens_per_second = summary.generated_tokens / makespan_seconds
     fleet_cost_usd = sum(node.cost_usd for node in node_reports)
     return ServingReport(
         system=fleet_name,
         policy=policy_name,
-        n_requests=len(requests),
-        completed=len(finished),
+        n_requests=summary.n_requests,
+        completed=summary.completed,
         makespan_seconds=makespan_seconds,
-        generated_tokens=generated,
+        generated_tokens=summary.generated_tokens,
         tokens_per_second=tokens_per_second,
-        mean_latency_seconds=(
-            sum(latencies) / len(latencies) if latencies else 0.0
-        ),
-        p95_latency_seconds=(
-            weighted_percentile(latencies, weights, 0.95) if latencies else 0.0
-        ),
-        p50_latency_seconds=(
-            weighted_percentile(latencies, weights, 0.50) if latencies else 0.0
-        ),
-        p99_latency_seconds=(
-            weighted_percentile(latencies, weights, 0.99) if latencies else 0.0
-        ),
-        mean_queueing_seconds=(
-            sum(queueing) / len(queueing) if queueing else 0.0
-        ),
+        mean_latency_seconds=summary.mean_latency(),
+        p95_latency_seconds=summary.latency_percentile(0.95),
+        p50_latency_seconds=summary.latency_percentile(0.50),
+        p99_latency_seconds=summary.latency_percentile(0.99),
+        mean_queueing_seconds=summary.mean_queueing(),
         peak_kv_reserved_bytes=sum(n.peak_kv_reserved_bytes for n in node_reports),
         kv_capacity_bytes=sum(n.kv_capacity_bytes for n in node_reports),
         system_cost_usd=fleet_cost_usd,
         tokens_per_second_per_usd=(
             tokens_per_second / fleet_cost_usd if fleet_cost_usd > 0 else 0.0
         ),
-        preemptions=sum(r.preemption_count for r in requests),
-        wasted_prefill_tokens=sum(r.wasted_prefill_tokens for r in requests),
-        migrations=sum(r.migration_count for r in requests),
-        migrated_recompute_tokens=sum(
-            r.migrated_recompute_tokens for r in requests
-        ),
+        preemptions=summary.preemptions,
+        wasted_prefill_tokens=summary.wasted_prefill_tokens,
+        migrations=summary.migrations,
+        migrated_recompute_tokens=summary.migrated_recompute_tokens,
         downtime_seconds=sum(n.downtime_seconds for n in node_reports),
         shed_requests=len(sheds),
-        retry_attempts=sum(r.retry_attempts for r in requests),
+        retry_attempts=summary.retry_attempts,
         goodput_tokens_per_s=tokens_per_second,
         fleet_symmetry=fleet_symmetry,
-        requests=list(requests),
+        requests=_kept(requests),
         step_time_notes=dict(step_time_notes or {}),
         router=router_name,
         node_reports=node_reports,

@@ -31,16 +31,20 @@ one weighted state machine reproduces all of them; the engine multiplies
 token/KV/slot accounting by ``weight``, and partial admission or
 preemption *splits* a representative so the pieces diverge exactly where
 the unfolded schedule would (see :meth:`ServingRequest.split_waiting` /
-:meth:`ServingRequest.split_youngest`).  At drain end
-:meth:`ServingRequest.unfold` copies the outcome back onto every member
-so reports see plain weight-1 requests.  Folding is applied only by the
+:meth:`ServingRequest.split_youngest`).  Folding is applied only by the
 representative fleet drain (:mod:`repro.serving.cluster`); ordinary drains
 never see a weight above 1.
+
+**Lazy members.** A folded drain never builds most of its members: its
+report keeps the queue as columns plus a :class:`FoldTable` of
+(representative outcome, multiplicity) units, and
+:class:`LazyRequests` builds plain weight-1 members from them only when
+someone reads the request list.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterable, Sequence
 
 from repro.errors import SchedulingError
@@ -414,3 +418,148 @@ def make_request_queue(
         )
         for i, cls in enumerate(classes)
     ]
+
+
+#: Constructor parameters between ``arrival_time`` and ``weight``, in order:
+#: the lifecycle state a lazily built member takes from its unit.
+_FIELD_NAMES = [f.name for f in fields(ServingRequest)]
+_STATE_PARAMS = tuple(
+    _FIELD_NAMES[_FIELD_NAMES.index("arrival_time") + 1 : _FIELD_NAMES.index("weight")]
+)
+
+
+def _member_state(unit: ServingRequest) -> tuple:
+    """Positional state arguments of a plain member carrying ``unit``'s outcome.
+
+    Outcome fields come from ``unit``; transient tracker state
+    (``kv_residency``) starts empty, as on a fresh request that
+    :meth:`ServingRequest.copy_outcome_from` filled.
+    """
+    return tuple(
+        getattr(unit, name) if name in ServingRequest.OUTCOME_FIELDS else None
+        for name in _STATE_PARAMS
+    )
+
+
+@dataclass(frozen=True)
+class FoldTable:
+    """A folded drain's outcomes as (representative, multiplicity) units.
+
+    Unit ``k`` is one position of a representative node's slice:
+    ``outcomes[k]`` is the request carrying its final lifecycle state (the
+    folded representative it ended up in), and ``multiplicity[k]`` counts
+    the queue members sharing that outcome -- one per node of the group
+    the slice was mirrored onto.  ``members[i]`` is the unit of queue
+    member ``i``, so ``sum(multiplicity) == len(members)``.
+    """
+
+    outcomes: Sequence[ServingRequest]
+    multiplicity: Sequence[int]
+    members: Sequence[int]
+
+    def expand(self, values: Sequence) -> list:
+        """Per-unit ``values`` as a per-member column, in queue order."""
+        return list(map(values.__getitem__, self.members))
+
+
+def _materialising(name: str):
+    method = getattr(list, name)
+
+    def call(self, *args, **kwargs):
+        self._materialise()
+        for arg in args:
+            if isinstance(arg, LazyRequests):
+                arg._materialise()
+        return method(self, *args, **kwargs)
+
+    call.__name__ = name
+    call.__doc__ = method.__doc__
+    return call
+
+
+class LazyRequests(list):
+    """A request list whose members are built on first access, then cached.
+
+    It holds a queue as columns -- request ids, classes and arrival times
+    -- plus, after a folded drain, the :class:`FoldTable` the members'
+    outcomes come from.  ``len()`` answers from the columns; any other
+    read or change builds every member once (plain weight-1
+    :class:`ServingRequest`\\ s, in queue order, each carrying its unit's
+    outcome), caches them and drops the columns.  From then on it is an
+    ordinary ``list``: indexing, iteration, ``sorted``, element mutation,
+    equality, pickling and ``dataclasses.asdict`` behave as they do on
+    the eager list.  Constructed from an iterable it is simply eager.
+    """
+
+    def __init__(self, iterable: Iterable[ServingRequest] = ()) -> None:
+        super().__init__(iterable)
+        self._columns: tuple | None = None
+        #: The (representative, multiplicity) units of a folded drain's
+        #: outcomes; ``None`` for a queue that has not been drained.
+        self.folding: FoldTable | None = None
+
+    @classmethod
+    def from_columns(
+        cls,
+        request_ids: Sequence[int],
+        classes: Sequence[RequestClass],
+        arrival_times: Sequence[float],
+        folding: FoldTable | None = None,
+    ) -> "LazyRequests":
+        """A lazy list of ``len(request_ids)`` members built from columns."""
+        lazy = cls()
+        lazy._columns = (request_ids, classes, arrival_times)
+        lazy.folding = folding
+        return lazy
+
+    @property
+    def columns(self) -> tuple | None:
+        """``(request_ids, classes, arrival_times)`` until the members are built."""
+        return self._columns
+
+    @property
+    def materialised(self) -> bool:
+        """Whether the member objects exist (reading them builds them)."""
+        return self._columns is None
+
+    def _materialise(self) -> None:
+        columns = self._columns
+        if columns is None:
+            return
+        self._columns = None
+        request_ids, classes, arrival_times = columns
+        if self.folding is None:
+            members = map(ServingRequest, request_ids, classes, arrival_times)
+        else:
+            states = [_member_state(unit) for unit in self.folding.outcomes]
+            members = (
+                ServingRequest(request_id, cls, time, *states[unit])
+                for request_id, cls, time, unit in zip(
+                    request_ids, classes, arrival_times, self.folding.members
+                )
+            )
+        list.extend(self, members)
+
+    def __len__(self) -> int:
+        columns = self._columns
+        return list.__len__(self) if columns is None else len(columns[0])
+
+    def __radd__(self, other):
+        self._materialise()
+        return other + list(self)
+
+    def __reduce_ex__(self, protocol):
+        return (type(self), (list(self),))
+
+
+# Every list operation that reads or changes the members builds them first;
+# ``__len__`` (answered from the columns) is the one exception.
+for _name in (
+    "__getitem__", "__setitem__", "__delitem__", "__iter__", "__reversed__",
+    "__contains__", "__eq__", "__ne__", "__lt__", "__le__", "__gt__",
+    "__ge__", "__add__", "__iadd__", "__mul__", "__rmul__", "__imul__",
+    "__repr__", "append", "extend", "insert", "pop", "remove", "clear",
+    "index", "count", "sort", "reverse", "copy",
+):
+    setattr(LazyRequests, _name, _materialising(_name))
+del _name

@@ -21,6 +21,7 @@ from simulating every node of a symmetric fleet:
 from __future__ import annotations
 
 import dataclasses
+import pickle
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -53,10 +54,12 @@ from repro.serving import (
 from repro.serving.autoscale import parse_autoscale_spec
 from repro.serving.cluster import (
     FLEET_SYMMETRY_MODES,
+    as_request_queue,
     check_report_conservation,
 )
 from repro.serving.faults import parse_fault_spec
 from repro.serving.overload import parse_overload_spec
+from repro.serving.request import LazyRequests, ServingRequest
 from repro.workloads import sample_request_classes
 from repro.workloads.requests import MEDIUM, SHORT
 
@@ -444,9 +447,36 @@ class TestFoldConservation:
         with pytest.raises(SanitizerError, match="fold-conservation"):
             check_report_conservation(report)
 
+    def test_check_reads_the_multiplicity_table_without_building_members(
+        self, system
+    ):
+        report = self._report(system)
+        assert isinstance(report.requests, LazyRequests)
+        check_report_conservation(report)
+        assert not report.requests.materialised
+
+    def test_zero_multiplicity_unit_is_caught(self, system):
+        report = self._report(system)
+        folding = report.requests.folding
+        report.requests.folding = dataclasses.replace(
+            folding, multiplicity=[0] + list(folding.multiplicity[1:])
+        )
+        with pytest.raises(SanitizerError, match="fold-conservation"):
+            check_report_conservation(report)
+        assert not report.requests.materialised
+
+    def test_table_not_covering_the_queue_is_caught(self, system):
+        report = self._report(system)
+        folding = report.requests.folding
+        report.requests.folding = dataclasses.replace(
+            folding, multiplicity=[m + 1 for m in folding.multiplicity]
+        )
+        with pytest.raises(SanitizerError, match="multiplicities sum"):
+            check_report_conservation(report)
+
     def test_sanitized_folded_drain_runs_the_invariant(self, system):
         # The folded drain under REPRO_SIM_SANITIZE=1 (the autouse test
-        # default) runs unfold + mirrored-sum cross-checks end to end.
+        # default) runs the fold-table and conservation checks end to end.
         report = ClusterScheduler(
             symmetric_fleet(system, 4),
             ContinuousBatching(4),
@@ -642,3 +672,144 @@ class TestReportPercentiles:
         ).drain(sample_request_classes(16, seed=2))
         assert report.p50_latency_seconds > 0
         assert report.p99_latency_seconds >= report.p50_latency_seconds
+
+
+class TestLazyFoldedReports:
+    """A folded drain builds ServingRequest objects only for each group's
+    representative slice; ``report.requests`` builds the members on first
+    read and then behaves as the eager list."""
+
+    N_NODES = 64
+    PER_NODE = 8
+
+    def _drain(self, system, symmetry, requests):
+        return ClusterScheduler(
+            symmetric_fleet(system, self.N_NODES),
+            ContinuousBatching(4),
+            router=RoundRobin(),
+            fleet_symmetry=symmetry,
+        ).drain(requests, arrivals=BatchedArrivals(0.02, 128, seed=3))
+
+    def test_objects_built_are_bounded_by_the_representative_slice(
+        self, system, monkeypatch
+    ):
+        counts = {"init": 0, "copy": 0}
+        original_init = ServingRequest.__init__
+        original_copy = ServingRequest.copy_outcome_from
+
+        def counted_init(self, *args, **kwargs):
+            counts["init"] += 1
+            original_init(self, *args, **kwargs)
+
+        def counted_copy(self, other):
+            counts["copy"] += 1
+            original_copy(self, other)
+
+        monkeypatch.setattr(ServingRequest, "__init__", counted_init)
+        monkeypatch.setattr(ServingRequest, "copy_outcome_from", counted_copy)
+        n_requests = self.N_NODES * self.PER_NODE
+        rep = self._drain(system, "representative", [SHORT] * n_requests)
+        assert counts["init"] <= self.PER_NODE
+        assert counts["copy"] <= self.PER_NODE
+        assert not rep.requests.materialised
+        assert len(rep.requests) == n_requests
+        assert not rep.requests.materialised
+
+        members = rep.requests  # the first read builds every member
+        assert members[0].finished and rep.requests.materialised
+        assert counts["init"] <= self.PER_NODE + n_requests
+        assert len(members) == n_requests
+        assert all(r.weight == 1 and not r.folded for r in members)
+        full = self._drain(system, "full", [SHORT] * n_requests)
+        assert_folded_matches_full(full, rep)
+
+    def test_means_equal_the_member_means_bit_for_bit(self, system):
+        """Fleet and node means sum the members' floats in queue order."""
+        report = self._drain(
+            system,
+            "representative",
+            sample_request_classes(self.N_NODES * self.PER_NODE, seed=9),
+        )
+
+        def mean(values):
+            values = list(values)
+            return sum(values) / len(values)
+
+        members = list(report.requests)
+        assert report.mean_latency_seconds == mean(r.latency_seconds for r in members)
+        assert report.mean_queueing_seconds == mean(r.queueing_seconds for r in members)
+        # Round-robin deals arrival position i to node i % N.
+        for index in (0, self.N_NODES - 1):
+            node = report.node_reports[index]
+            share = members[index :: self.N_NODES]
+            assert node.mean_latency_seconds == mean(r.latency_seconds for r in share)
+
+    def test_members_are_cached_and_behave_as_a_list(self, system):
+        report = self._drain(system, "representative", [SHORT] * 128)
+        first = report.requests[0]
+        assert report.requests[0] is first
+        first.tokens_generated = -1
+        assert report.requests[0].tokens_generated == -1
+        assert sorted(report.requests, key=lambda r: -r.request_id)[0].request_id == 127
+        assert [r.request_id for r in report.requests[:3]] == [0, 1, 2]
+        copy = pickle.loads(pickle.dumps(report.requests))
+        assert copy == report.requests
+        as_dict = dataclasses.asdict(report)["requests"]
+        assert len(as_dict) == 128 and as_dict[0]["tokens_generated"] == -1
+
+    def test_caller_owned_queue_carries_its_outcomes(self, system):
+        classes = sample_request_classes(self.N_NODES * 2, seed=4)
+        queue = make_request_queue(classes)
+        rep = self._drain(system, "representative", queue)
+        assert rep.fleet_symmetry == "representative"
+        assert all(a is b for a, b in zip(rep.requests, queue))
+        assert all(r.finished and r.weight == 1 for r in queue)
+        full = self._drain(system, "full", list(classes))
+        assert_folded_matches_full(full, rep)
+
+    def test_request_class_queue_stays_lazy(self):
+        queue = as_request_queue([SHORT] * 5, BatchedArrivals(0.5, 2, seed=1))
+        assert isinstance(queue, LazyRequests) and not queue.materialised
+        assert len(queue) == 5
+        assert [r.request_id for r in queue] == list(range(5))
+        assert queue[0].arrival_time == queue[1].arrival_time < queue[2].arrival_time
+
+
+class TestStaleQueues:
+    """Re-draining a ServingRequest queue used to report garbage (its
+    requests still carried the first drain's lifecycle state); the queue
+    validation now refuses requests that are not fresh."""
+
+    @pytest.mark.parametrize("symmetry", ["representative", "full"])
+    def test_redrained_queue_is_refused(self, system, symmetry):
+        queue = make_request_queue([SHORT] * 16)
+        scheduler = ClusterScheduler(
+            symmetric_fleet(system, 4),
+            ContinuousBatching(4),
+            router=RoundRobin(),
+            fleet_symmetry=symmetry,
+        )
+        first = scheduler.drain(queue)
+        assert first.all_completed and first.mean_latency_seconds > 1.0
+        with pytest.raises(
+            SchedulingError, match="stale request queue: element 0 is already finished"
+        ):
+            scheduler.drain(queue)
+
+    @pytest.mark.parametrize(
+        "mutate, state",
+        [
+            (lambda r: setattr(r, "admitted_time", 1.0), "admitted"),
+            (lambda r: setattr(r, "completion_time", 2.0), "finished"),
+            (lambda r: setattr(r, "shed_time", 1.0), "shed"),
+            (lambda r: setattr(r, "weight", 3), "weighted"),
+            (lambda r: r.folded.append(r), "folded"),
+        ],
+        ids=["admitted", "finished", "shed", "weighted", "folded"],
+    )
+    def test_first_offending_index_and_state_are_named(self, mutate, state):
+        queue = make_request_queue([SHORT] * 4)
+        mutate(queue[2])
+        mutate(queue[3])
+        with pytest.raises(SchedulingError, match=f"element 2 is already {state}"):
+            as_request_queue(queue)
