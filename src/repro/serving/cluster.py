@@ -760,11 +760,11 @@ class ClusterScheduler:
         wakes (and admits) inside the dispatcher's first same-time
         delivery, before the rest of a burst reaches its queue.
 
-        After the drain nothing is unfolded or mirrored member by member:
-        each slice position's outcome is the representative it ended up
-        folded into, a :class:`~repro.serving.request.FoldTable` maps every
-        queue member to that position with its group's multiplicity, and
-        the report reads the table (building member objects only if asked).
+        After the drain, each slice position's outcome is the
+        representative it ended up folded into; a
+        :class:`~repro.serving.request.FoldTable` maps every queue member to
+        that position with its group's multiplicity, and the report reads
+        the table (building member objects only if asked).
         Mirrored nodes get their representative's breakdown under their
         own name; caller-built queues get every outcome written back.
         """
