@@ -1,10 +1,30 @@
-"""Regenerate the pinned golden fingerprints (see the package docstring)."""
+"""Regenerate the pinned golden fingerprints (see the package docstring).
+
+Before rewriting a pin file, lists every cell whose fingerprint differs
+from the committed pins (added, moved or dropped), so a re-pin's change
+log can quote exactly what moved.
+"""
 
 from __future__ import annotations
 
 import json
 
-from tests.serving.golden import FOLDED_PINS, derive_folded
+from tests.serving.golden import FOLDED_PINS, FULL_PINS, derive_folded, derive_full
 
-FOLDED_PINS.write_text(json.dumps(derive_folded(), indent=1, sort_keys=True) + "\n")
-print(f"wrote {FOLDED_PINS}")
+
+def repin(path, derived: dict[str, str]) -> None:
+    old = json.loads(path.read_text()) if path.exists() else {}
+    moved = sorted(
+        cell for cell in old.keys() | derived.keys() if old.get(cell) != derived.get(cell)
+    )
+    for cell in moved:
+        state = (
+            "added" if cell not in old else "dropped" if cell not in derived else "moved"
+        )
+        print(f"{path.name}: {state} {cell}")
+    print(f"{path.name}: {len(moved)} of {len(derived)} cells differ from the pins")
+    path.write_text(json.dumps(derived, indent=1, sort_keys=True) + "\n")
+
+
+repin(FOLDED_PINS, derive_folded())
+repin(FULL_PINS, derive_full())
