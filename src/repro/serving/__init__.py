@@ -15,10 +15,10 @@ Serving scales past one host: a :class:`~repro.serving.cluster.ClusterScheduler`
 drains one queue across N :class:`~repro.serving.engine.Node`\\ s on a
 shared discrete-event simulation, with a pluggable
 :class:`~repro.serving.routers.Router` (round-robin, join-shortest-queue,
-KV-headroom best fit) placing each request at its arrival time.  A 1-node
-cluster reproduces the single-host :class:`OfflineServingScheduler`
-schedule bit for bit.  Symmetric fleets under a load-oblivious router
-fold to one representative engine per homogeneous node group
+KV-headroom best fit) placing each request at its arrival time; the
+single-host :class:`OfflineServingScheduler` is a 1-node cluster.
+Symmetric fleets under a load-oblivious router fold to one
+representative engine per homogeneous node group
 (``fleet_symmetry="auto"``), and identical queued requests fold into
 weighted representatives -- a 1000-node drain simulates at roughly the
 cost of one node, with per-field 1e-9 agreement against the full

@@ -10,19 +10,26 @@ to a node at its arrival time, and the per-node outcomes merge into a
 fleet-level :class:`~repro.serving.metrics.ServingReport` (per-node
 breakdowns, preemption/wasted-prefill totals, fleet tokens/s/$).
 
-**Bit-identity guarantee.** A 1-node cluster skips the dispatcher and
-preloads the whole arrival-ordered queue into the single engine, which
-then runs exactly the legacy ``OfflineServingScheduler`` loop -- same
-per-request admission, token and completion times, same report.  The
-legacy scheduler is itself a thin shim over a 1-node cluster, and the
-property tests in ``tests/serving/test_cluster.py`` assert the identity
-across policies, arrival processes, and chunking.
+**One delivery path.** Every drain that simulates all of its nodes -- a
+single node included -- delivers through the
+:class:`~repro.serving.faults.FaultDriver`: a dispatcher process hands
+each request, at its arrival time, to a live node the router picks, and
+the driver releases the engines once the last request completes or
+sheds.  Without faults, overload control or autoscaling the driver starts
+no injector and only routes arrivals and counts completions.  A 1-node cluster reports in the
+single-system shape (the system's name, no router), which is what
+:class:`~repro.serving.scheduler.OfflineServingScheduler` -- itself a
+1-node cluster -- returns.  The golden corpus in
+``tests/serving/golden/`` pins these reports across policies, arrival
+processes, chunking, routers, tiers, faults, overload and autoscaling.
 
-(The multi-node dispatcher routes at true arrival times; when an arrival
-ties exactly with a node's iteration boundary, heap order -- deterministic
-but not legacy-defined -- decides whether the request joins that boundary
-or the next.  Only the 1-node preloaded path carries the bit-identity
-guarantee, which is why it exists as a distinct fast path.)
+(Same-instant arrivals are delivered one at a time.  A parked engine wakes
+*inside* the delivery of the first request of a burst -- event callbacks
+run synchronously -- and admits it before the rest of the burst reaches
+its queue, on one node as on many.  The folded path delivers the same
+way, which is what keeps it equal to the full path, one node included.  When an arrival ties exactly with a node's iteration boundary,
+heap order -- deterministic -- decides whether the request joins that
+boundary or the next.)
 
 **Fault injection.** ``ClusterScheduler(..., faults=FaultSchedule(...))``
 runs the drain under a seeded fault schedule (:mod:`repro.serving.faults`):
@@ -41,8 +48,8 @@ deadline -- see :mod:`repro.serving.overload`), and
 ``autoscale=AutoscalePolicy(...)`` runs a reactive
 :class:`~repro.serving.autoscale.Autoscaler` that provisions offline
 spares and gracefully drains idle nodes on the fault layer's lifecycle.
-Both route the drain through the fault driver's dispatcher; with neither
-(and no faults) the drain runs the exact legacy code path.
+Both act at the fault driver's front door; with neither (and no faults)
+the driver routes every arrival unbounded.
 
 **Fleet & request folding.** ``fleet_symmetry="auto"`` (the default)
 carries the device-level representative-symmetry fast path up to hosts
@@ -365,8 +372,8 @@ class ClusterScheduler:
     the drain: nodes die (and maybe recover) mid-drain, their requests
     migrate recompute-on-migrate through the router, and the report grows
     migration/downtime accounting with uptime-only cost billing.  An empty
-    schedule is normalised to ``None``, so faults-off drains run the exact
-    pre-fault code path (including the 1-node preloaded bit-identity path).
+    schedule is normalised to ``None``: no injector runs, and the report
+    keeps its fault-free shape.
 
     ``overload`` bounds admission at the dispatcher (shed / retry / park,
     see :mod:`repro.serving.overload`); an empty control is normalised to
@@ -382,8 +389,8 @@ class ClusterScheduler:
     every node (byte-identical to the pre-folding drain); and
     ``"representative"`` demands folding, raising a
     :class:`~repro.errors.ConfigurationError` at construction when the
-    fleet cannot fold.  ``"auto"`` never folds a single-node cluster, so
-    the 1-node preloaded bit-identity path is preserved by default.
+    fleet cannot fold.  ``"auto"`` never folds a single-node cluster:
+    with one node there is nothing to fold, so it takes the full path.
     """
 
     def __init__(
@@ -422,7 +429,7 @@ class ClusterScheduler:
             self.faults = None
         # An OverloadControl with no bound set is a no-op; normalise it to
         # None (mirroring the empty-FaultSchedule rule) so overload-off
-        # drains keep the exact legacy code path.
+        # drains deliver unbounded and stay eligible for folding.
         if overload is not None and not overload.is_empty:
             self.overload: OverloadControl | None = overload
         else:
@@ -445,6 +452,15 @@ class ClusterScheduler:
                     "full-fleet simulation"
                 )
 
+    @property
+    def _controlled(self) -> bool:
+        """Whether faults, overload control or autoscaling manage the fleet."""
+        return (
+            self.faults is not None
+            or self.overload is not None
+            or self.autoscale is not None
+        )
+
     def _fold_ineligibility(self) -> str | None:
         """Why this cluster cannot run a folded drain (``None`` if it can).
 
@@ -457,11 +473,7 @@ class ClusterScheduler:
         label -- two separately-calibrated step-time models are not
         interchangeable even when configured alike.
         """
-        if (
-            self.faults is not None
-            or self.overload is not None
-            or self.autoscale is not None
-        ):
+        if self._controlled:
             return (
                 "faults/overload/autoscale drains need the liveness-aware "
                 "full-fleet dispatcher"
@@ -509,88 +521,46 @@ class ClusterScheduler:
         ordered = sorted(queue, key=lambda r: (r.arrival_time, r.request_id))
         sim = Simulator()
         engines = [NodeEngine(node, self.policy, sim) for node in self.nodes]
-        # Snapshot the (shared, monotonic) clamp counters so this drain's
-        # report covers only its own off-grid queries; distinct models only,
-        # since symmetric fleets legitimately share one step-time instance.
-        step_times = {id(n.step_time): n.step_time for n in self.nodes}
-        counters_before = {
-            key: model.clamp_counters() for key, model in step_times.items()
-        }
-        processes = []
-        # Faults, overload control, and autoscaling all need the
-        # liveness-aware dispatcher (and the driver's completion-counted
-        # release); any of them switches the drain into driver mode.
-        driver_mode = (
-            self.faults is not None
-            or self.overload is not None
-            or self.autoscale is not None
+        counters_before = self._clamp_counters()
+        # Every full drain delivers through the fault driver: it routes only
+        # to live engines, re-routes what a dying node returns, and -- not
+        # the arrival stream -- releases the engines once the last request
+        # completes or sheds, since migrations and retries can still be in
+        # flight after the last arrival.
+        driver = FaultDriver(
+            sim,
+            engines,
+            self.router,
+            self.faults or FaultSchedule(),
+            total_requests=len(ordered),
+            overload=self.overload,
         )
-        driver: FaultDriver | None = None
+        for engine in engines:
+            engine.driver = driver
         autoscaler: Autoscaler | None = None
-        if driver_mode:
-            # Driver mode always routes through the dispatcher (even on one
-            # node: a dead node's queue must flow back for re-delivery) and
-            # the driver -- not the dispatcher -- releases the engines once
-            # the last request completes or sheds, since migrations and
-            # retries can still be in flight after the arrival stream is
-            # exhausted.
-            driver = FaultDriver(
-                sim,
-                engines,
-                self.router,
-                self.faults or FaultSchedule(),
-                total_requests=len(ordered),
-                overload=self.overload,
-            )
-            for engine in engines:
-                engine.driver = driver
-            if self.autoscale is not None:
-                # Nodes past min_nodes start as unbilled offline spares the
-                # autoscaler can provision.
-                for engine in engines[self.autoscale.min_nodes :]:
-                    engine.start_offline()
-                autoscaler = Autoscaler(sim, engines, self.autoscale, driver)
-            processes.append(
-                sim.process(
-                    self._dispatch_faulty(sim, ordered, driver),
-                    name="cluster.route",
-                )
-            )
-            processes.append(
-                sim.process(driver.redispatch(), name="cluster.redispatch")
-            )
-        elif len(engines) == 1:
-            # Single node: no routing decision exists.  Preload the whole
-            # queue so the engine runs the legacy scheduler loop verbatim
-            # (this path carries the bit-identity guarantee).
-            engines[0].preload(ordered)
-            engines[0].finish_arrivals()
-        else:
-            processes.append(
-                sim.process(self._dispatch(sim, ordered, engines), name="cluster.route")
-            )
+        if self.autoscale is not None:
+            # Nodes past min_nodes start as unbilled offline spares the
+            # autoscaler can provision.
+            for engine in engines[self.autoscale.min_nodes :]:
+                engine.start_offline()
+            autoscaler = Autoscaler(sim, engines, self.autoscale, driver)
+        processes = [
+            sim.process(
+                self._route_arrivals(sim, ordered, driver), name="cluster.route"
+            ),
+            sim.process(driver.redispatch(), name="cluster.redispatch"),
+        ]
         processes.extend(
             sim.process(engine.run(), name=f"{engine.node.name}.drain")
             for engine in engines
         )
-        if driver is not None:
-            # Injectors (and the autoscaler's tick) are fire-and-forget: a
-            # spot stream's next draw or decision timer past the drain's
-            # end must not hold the conjunction open.
-            driver.start_injectors()
-            if autoscaler is not None:
-                autoscaler.start()
-        if len(processes) == 1:
-            sim.run(processes[0])
-        else:
-            sim.run(sim.all_of(processes))
-        if sim.sanitizer is not None:
-            # Drain-end invariants: every engine's KV ledger fully released,
-            # and nothing still parked on an untriggered event.
-            for engine in engines:
-                engine.tracker.assert_drained(context=f"node {engine.node.name!r}")
-            sim.sanitize_check_drained()
-        notes = self._step_time_notes(step_times, counters_before)
+        # Injectors (and the autoscaler's tick) are fire-and-forget: a spot
+        # stream's next draw or decision timer past the drain's end must not
+        # hold the conjunction open.
+        driver.start_injectors()
+        if autoscaler is not None:
+            autoscaler.start()
+        sim.run(sim.all_of(processes))
         breakdowns = tuple(
             node_breakdown(
                 engine.node.name,
@@ -609,34 +579,16 @@ class ClusterScheduler:
             )
             for engine in engines
         )
-        if len(engines) == 1 and not driver_mode:
-            report = build_report(
-                self.nodes[0].system,
-                self.policy.name,
-                queue,
-                makespan_seconds=sim.now,
-                peak_kv_reserved_bytes=engines[0].tracker.peak_reserved_bytes,
-                kv_capacity_bytes=self.nodes[0].budget.kv_capacity_bytes,
-                step_time_notes=notes,
-                node_reports=breakdowns,
-            )
-        else:
-            report = build_fleet_report(
-                fleet_name=self.fleet_name,
-                policy_name=self.policy.name,
-                router_name=self.router.name,
-                requests=queue,
-                makespan_seconds=sim.now,
-                node_reports=breakdowns,
-                step_time_notes=notes,
-                sheds=tuple(driver.sheds) if driver is not None else (),
-                scale_events=(
-                    tuple(autoscaler.events) if autoscaler is not None else ()
-                ),
-            )
-        if sim.sanitizer is not None:
-            check_report_conservation(report, sim_time=sim.now)
-        return report
+        return self._report(
+            sim,
+            engines,
+            counters_before,
+            queue,
+            breakdowns,
+            fleet_symmetry="full",
+            sheds=tuple(driver.sheds),
+            scale_events=tuple(autoscaler.events) if autoscaler is not None else (),
+        )
 
     @property
     def fleet_name(self) -> str:
@@ -646,31 +598,13 @@ class ClusterScheduler:
             return f"{len(systems)}x {systems[0]}"
         return f"fleet({len(systems)} nodes)"
 
-    def _dispatch(self, sim: Simulator, ordered, engines):
-        """Dispatcher process: route each request at its arrival time."""
-        by_node = {id(engine.node): engine for engine in engines}
-        for request in ordered:
-            if request.arrival_time > sim.now:
-                yield sim.timeout(request.arrival_time - sim.now)
-            chosen = self.router.route(request, engines)
-            if isinstance(chosen, Node):
-                chosen = by_node.get(id(chosen))
-            if chosen not in engines:
-                raise SchedulingError(
-                    f"router {self.router.name!r} returned an object that is "
-                    "not one of this cluster's nodes"
-                )
-            chosen.enqueue(request)
-        for engine in engines:
-            engine.finish_arrivals()
+    def _route_arrivals(self, sim: Simulator, ordered, driver: FaultDriver):
+        """Dispatcher process: deliver each request at its arrival time.
 
-    def _dispatch_faulty(self, sim: Simulator, ordered, driver: FaultDriver):
-        """Fault-mode dispatcher: liveness-aware routing via the driver.
-
-        Unlike :meth:`_dispatch`, exhausting the arrival stream does *not*
-        release the engines -- migrated requests may still be bouncing
-        through the redispatcher, so the driver calls ``finish_arrivals``
-        only when the last request actually completes.
+        Exhausting the arrival stream does *not* release the engines --
+        migrated or backed-off requests may still be bouncing through the
+        driver, which calls ``finish_arrivals`` only once the last request
+        completes or sheds.
         """
         for request in ordered:
             if request.arrival_time > sim.now:
@@ -683,8 +617,8 @@ class ClusterScheduler:
         """Whether this drain takes the folded (representative) path.
 
         Not under ``fleet_symmetry="full"``, nor under ``"auto"`` for an
-        ineligible fleet or a single node (preserving the preloaded 1-node
-        bit-identity path).
+        ineligible fleet or a single node (one node has nothing to fold; the
+        two paths agree on it anyway).
         """
         if self.fleet_symmetry == "full":
             return False
@@ -783,10 +717,7 @@ class ClusterScheduler:
             )
         plan = self._fold_plan(order, classes, arrival_times)
         sim = Simulator()
-        step_times = {id(n.step_time): n.step_time for n in self.nodes}
-        counters_before = {
-            key: model.clamp_counters() for key, model in step_times.items()
-        }
+        counters_before = self._clamp_counters()
         engines: dict[int, NodeEngine] = {}
         pieces: dict[int, list[ServingRequest]] = {}
         deliveries: list[tuple[tuple, NodeEngine, ServingRequest]] = []
@@ -813,11 +744,6 @@ class ClusterScheduler:
             for engine in engines.values()
         )
         sim.run(sim.all_of(processes))
-        if sim.sanitizer is not None:
-            for engine in engines.values():
-                engine.tracker.assert_drained(context=f"node {engine.node.name!r}")
-            sim.sanitize_check_drained()
-        notes = self._step_time_notes(step_times, counters_before)
 
         # Each slice position's outcome is the representative it ended up in.
         group_units = [
@@ -855,33 +781,14 @@ class ClusterScheduler:
                 request.copy_outcome_from(folding.outcomes[unit])
             reported = LazyRequests(owned)
             reported.folding = folding
-        node_reports = tuple(breakdowns[index] for index in range(len(self.nodes)))
-        if len(self.nodes) == 1:
-            report = build_report(
-                self.nodes[0].system,
-                self.policy.name,
-                reported,
-                makespan_seconds=sim.now,
-                peak_kv_reserved_bytes=engines[0].tracker.peak_reserved_bytes,
-                kv_capacity_bytes=self.nodes[0].budget.kv_capacity_bytes,
-                step_time_notes=notes,
-                node_reports=node_reports,
-                fleet_symmetry="representative",
-            )
-        else:
-            report = build_fleet_report(
-                fleet_name=self.fleet_name,
-                policy_name=self.policy.name,
-                router_name=self.router.name,
-                requests=reported,
-                makespan_seconds=sim.now,
-                node_reports=node_reports,
-                step_time_notes=notes,
-                fleet_symmetry="representative",
-            )
-        if sim.sanitizer is not None:
-            check_report_conservation(report, sim_time=sim.now)
-        return report
+        return self._report(
+            sim,
+            engines.values(),
+            counters_before,
+            reported,
+            tuple(breakdowns[index] for index in range(len(self.nodes))),
+            fleet_symmetry="representative",
+        )
 
     def _dispatch_folded(self, sim: Simulator, deliveries, engines):
         """Folded dispatcher: deliver each folded piece at its arrival time."""
@@ -892,23 +799,91 @@ class ClusterScheduler:
         for engine in engines.values():
             engine.finish_arrivals()
 
-    def _step_time_notes(self, step_times: dict, counters_before: dict) -> dict:
+    # --- the drain epilogue ----------------------------------------------------
+
+    def _clamp_counters(self) -> dict:
+        """Snapshot each distinct step-time model's clamp counters.
+
+        The counters are shared and monotonic, so a drain's notes cover
+        only its own off-grid queries by diffing against this snapshot.
+        Keyed by model identity: symmetric fleets legitimately share one
+        step-time instance.
+        """
+        return {
+            id(n.step_time): (n.step_time, n.step_time.clamp_counters())
+            for n in self.nodes
+        }
+
+    def _step_time_notes(self, counters_before: dict) -> dict:
         """Per-drain clamp summaries, merged across the fleet's models.
 
-        Single-node drains embed the summary directly (the legacy report
-        shape); fleets key each distinct model's summary by the names of
-        the nodes sharing it, dropping empty summaries.
+        Single-node drains embed the summary directly (the single-system
+        report shape); fleets key each distinct model's summary by the
+        names of the nodes sharing it, dropping empty summaries.
         """
         if len(self.nodes) == 1:
-            model = self.nodes[0].step_time
-            return model.grid_clamp_summary(since=counters_before[id(model)])
+            ((model, before),) = counters_before.values()
+            return model.grid_clamp_summary(since=before)
         notes = {}
-        for key, model in step_times.items():
-            summary = model.grid_clamp_summary(since=counters_before[key])
+        for model, before in counters_before.values():
+            summary = model.grid_clamp_summary(since=before)
             if summary:
-                users = [n.name for n in self.nodes if id(n.step_time) == key]
+                users = [n.name for n in self.nodes if n.step_time is model]
                 notes[",".join(users)] = summary
         return notes
+
+    def _report(
+        self,
+        sim: Simulator,
+        engines,
+        counters_before: dict,
+        requests,
+        node_reports: tuple[NodeBreakdown, ...],
+        fleet_symmetry: str,
+        sheds: tuple = (),
+        scale_events: tuple = (),
+    ) -> ServingReport:
+        """The epilogue every drain shares: checks, notes, report.
+
+        A sanitized drain first checks that every engine's KV ledger is
+        fully released and nothing is still parked on an untriggered
+        event, then the report's token/request conservation.  A single
+        node without faults, overload control or autoscaling reports in
+        the single-system shape (its system's name, no router, and an empty
+        ``fleet_symmetry`` unless folded); everything else reports as a
+        fleet.
+        """
+        if sim.sanitizer is not None:
+            for engine in engines:
+                engine.tracker.assert_drained(context=f"node {engine.node.name!r}")
+            sim.sanitize_check_drained()
+        notes = self._step_time_notes(counters_before)
+        if len(self.nodes) == 1 and not self._controlled:
+            report = build_report(
+                self.nodes[0].system,
+                self.policy.name,
+                requests,
+                makespan_seconds=sim.now,
+                node_reports=node_reports,
+                step_time_notes=notes,
+                fleet_symmetry="" if fleet_symmetry == "full" else fleet_symmetry,
+            )
+        else:
+            report = build_fleet_report(
+                fleet_name=self.fleet_name,
+                policy_name=self.policy.name,
+                router_name=self.router.name,
+                requests=requests,
+                makespan_seconds=sim.now,
+                node_reports=node_reports,
+                step_time_notes=notes,
+                sheds=sheds,
+                scale_events=scale_events,
+                fleet_symmetry=fleet_symmetry,
+            )
+        if sim.sanitizer is not None:
+            check_report_conservation(report, sim_time=sim.now)
+        return report
 
 
 def build_fleet(

@@ -18,15 +18,13 @@ Request lifecycle (unchanged from the single-node scheduler)::
                   ^                                |
                   +------- preempt (optimistic) ---+
 
-The engine receives work through two channels:
-
-* :meth:`NodeEngine.preload` installs a whole arrival-stamped queue up
-  front (the single-node drain: the engine itself sleeps until the next
-  arrival, exactly the legacy scheduler loop);
-* :meth:`NodeEngine.enqueue` delivers one request at its arrival time (the
-  cluster dispatcher routes each arrival as it happens); an idle engine
-  parks on a wake event that ``enqueue`` (or
-  :meth:`NodeEngine.finish_arrivals`) triggers.
+The engine receives work through one channel: :meth:`NodeEngine.enqueue`
+delivers one request at its arrival time (the cluster dispatcher routes
+each arrival as it happens, a single node included); an idle engine parks
+on a wake event that ``enqueue`` (or :meth:`NodeEngine.finish_arrivals`)
+triggers.  The wake runs the engine synchronously inside that ``enqueue``,
+so a parked engine admits the first request of a same-instant burst before
+the rest of the burst is delivered.
 
 The engine also exposes the live load views routers place against:
 :attr:`outstanding_tokens` (JSQ) and :attr:`kv_headroom_bytes` /
@@ -63,7 +61,6 @@ then the node goes DOWN as a provisionable spare.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable
 
 from repro.baselines.base import InferenceSystem
 from repro.errors import ConfigurationError, SchedulingError
@@ -165,9 +162,8 @@ class NodeEngine:
         #: hot-loop hooks are single attribute tests (the ``_slow_factor``
         #: pattern) and flat drains stay byte-identical.
         self.tiered = node.kv_tiers is not None
-        #: Requests routed here whose arrival time has not been reached
-        #: (preloaded single-node queues only; dispatched requests arrive
-        #: due and go straight through to ``waiting`` at the next loop top).
+        #: Requests delivered since the last scheduling point; they move to
+        #: ``waiting`` at the next loop top once their arrival time is due.
         self.pending: deque[ServingRequest] = deque()
         self.waiting: deque[ServingRequest] = deque()
         self.prefilling: list[ServingRequest] = []
@@ -187,7 +183,7 @@ class NodeEngine:
         #: waiting together may fold -- which is exactly what the loop-top
         #: queue state captures.
         self.fold_requests = False
-        #: Fault driver of a fault-mode cluster drain (None otherwise).
+        #: The full-fleet drain's delivery driver (None on folded drains).
         self.driver = None
         # --- fault-injection lifecycle (inert on fault-free drains) ---
         self._state = "up"  # up | draining | down | done
@@ -494,12 +490,6 @@ class NodeEngine:
         return self.tracker.spilled_decode_seconds
 
     # --- work delivery ---------------------------------------------------------
-
-    def preload(self, requests: Iterable[ServingRequest]) -> None:
-        """Install a whole arrival-ordered queue (single-node drains)."""
-        requests = list(requests)
-        self.pending.extend(requests)
-        self.assigned.extend(requests)
 
     def enqueue(self, request: ServingRequest) -> None:
         """Deliver one routed request (cluster dispatch, at arrival time)."""

@@ -30,14 +30,14 @@ discrete-event simulator:
   :class:`~repro.serving.overload.OverloadControl` bounds per-node queue
   depth and fleet token rate at the same front door; over-limit arrivals
   are shed as structured outcomes, retried with seeded exponential
-  backoff, or parked with a deadline.  Without one, delivery runs the
-  exact pre-overload code path.
+  backoff, or parked with a deadline.  Without one, delivery is
+  unbounded.
 
 Everything is deterministic under fixed seeds: :class:`SpotPreemptions`
 draws inter-failure gaps from a private per-node ``random.Random``, so two
-drains of one schedule are byte-identical, and an *empty* schedule is
-normalised away by the cluster -- the no-fault path is the exact pre-fault
-code path, not a faults-disabled variant of it.
+drains of one schedule are byte-identical.  The driver delivers every
+full-fleet drain, faulted or not: under an empty schedule it starts no
+injector, so it only routes arrivals and counts completions.
 
 CLI grammar (see :func:`parse_fault_spec`)::
 
@@ -256,11 +256,12 @@ def parse_fault_spec(spec: str | None, seed: int = 0) -> FaultSchedule | None:
 
 
 class FaultDriver:
-    """Runs one drain's fault schedule and the resulting request migration.
+    """Delivers one drain's requests and runs its fault schedule.
 
-    Owned by a fault-mode :class:`~repro.serving.cluster.ClusterScheduler`
-    drain; every engine holds a reference back (``engine.driver``) and
-    notifies it of deaths, recoveries, and completions.  The driver's
+    Every full-fleet :class:`~repro.serving.cluster.ClusterScheduler`
+    drain owns one, with or without faults.  Every engine holds a
+    reference back (``engine.driver``) and notifies it of deaths,
+    recoveries, admissions and completions.  The driver's
     redispatcher process re-routes returned requests, and its injector
     processes fire the schedule.  Injectors are fire-and-forget (never
     awaited): a spot stream whose next failure falls past the drain's end
@@ -355,7 +356,7 @@ class FaultDriver:
         either, raises the structured stranded-fleet error.  Under
         admission control (``overload``) the bounded path also enforces
         queue-depth and token-rate limits; without it the unbounded path
-        below is the exact pre-overload code.
+        below routes every arrival at once.
         """
         if self.overload is None:
             yield from self._deliver_unbounded(request)
@@ -363,7 +364,7 @@ class FaultDriver:
             yield from self._deliver_bounded(request)
 
     def _deliver_unbounded(self, request: ServingRequest):
-        """The overload-free delivery loop (byte-identical legacy path)."""
+        """The overload-free delivery loop."""
         while True:
             alive = [engine for engine in self.engines if engine.routable]
             if alive:
@@ -536,7 +537,7 @@ class FaultDriver:
                 return engine
         raise SchedulingError(
             f"router {self.router.name!r} returned an object that is not "
-            "one of the live nodes it was offered"
+            "one of this cluster's live nodes it was offered"
         )
 
     def stranded_error(self, request: ServingRequest | None = None) -> SchedulingError:

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.analysis.cost import CostModel, cost_efficiency
+from repro.analysis.cost import CostModel
 from repro.baselines.base import InferenceSystem
 from repro.errors import SchedulingError
 from repro.serving.request import FoldTable, LazyRequests, ServingRequest
@@ -228,7 +228,7 @@ class ServingReport:
     Fleet drains (:class:`~repro.serving.cluster.ClusterScheduler` with
     more than one node) fill ``router`` and ``node_reports``; single-node
     drains leave ``router`` empty and carry exactly one breakdown, so the
-    legacy single-system report shape is a special case of the fleet one.
+    single-system report shape is a special case of the fleet one.
     """
 
     system: str
@@ -274,8 +274,8 @@ class ServingReport:
     p99_latency_seconds: float = 0.0
     #: Which fleet path produced this report: ``"representative"`` when the
     #: drain folded symmetric node groups to representative engines,
-    #: ``"full"`` when every node was simulated, ``""`` for single-node
-    #: legacy-shape reports.
+    #: ``"full"`` when every node was simulated, ``""`` for single-system
+    #: reports (a 1-node drain that simulated its node in full).
     fleet_symmetry: str = ""
     #: Per-request outcomes, in queue order, as plain weight-1 requests.
     #: A folded drain reports a :class:`~repro.serving.request.LazyRequests`:
@@ -427,56 +427,21 @@ def build_report(
     policy_name: str,
     requests: list[ServingRequest],
     makespan_seconds: float,
-    peak_kv_reserved_bytes: float,
-    kv_capacity_bytes: float,
+    node_reports: tuple[NodeBreakdown, ...],
     step_time_notes: dict | None = None,
-    node_reports: tuple[NodeBreakdown, ...] = (),
     fleet_symmetry: str = "",
 ) -> ServingReport:
-    """Aggregate per-request state into a :class:`ServingReport`."""
-    summary = _summarise(requests)
-    if not summary.completed:
-        raise SchedulingError("drain completed no requests; nothing to report")
-    if makespan_seconds <= 0:
-        raise SchedulingError("drain makespan must be positive")
-    tokens_per_second = summary.generated_tokens / makespan_seconds
-    cost = system_cost_model(system)
-    return ServingReport(
-        system=system.name,
-        policy=policy_name,
-        n_requests=summary.n_requests,
-        completed=summary.completed,
+    """The single-system report: a one-node fleet report under the system's
+    own name, with no router (routing one node is trivial)."""
+    return build_fleet_report(
+        fleet_name=system.name,
+        policy_name=policy_name,
+        router_name="",
+        requests=requests,
         makespan_seconds=makespan_seconds,
-        generated_tokens=summary.generated_tokens,
-        tokens_per_second=tokens_per_second,
-        mean_latency_seconds=summary.mean_latency(),
-        p95_latency_seconds=summary.latency_percentile(0.95),
-        p50_latency_seconds=summary.latency_percentile(0.50),
-        p99_latency_seconds=summary.latency_percentile(0.99),
-        mean_queueing_seconds=summary.mean_queueing(),
-        peak_kv_reserved_bytes=peak_kv_reserved_bytes,
-        kv_capacity_bytes=kv_capacity_bytes,
-        system_cost_usd=cost.total_usd(),
-        tokens_per_second_per_usd=cost_efficiency(tokens_per_second, cost),
-        preemptions=summary.preemptions,
-        wasted_prefill_tokens=summary.wasted_prefill_tokens,
-        migrations=summary.migrations,
-        migrated_recompute_tokens=summary.migrated_recompute_tokens,
-        downtime_seconds=sum(n.downtime_seconds for n in node_reports),
-        goodput_tokens_per_s=tokens_per_second,
-        fleet_symmetry=fleet_symmetry,
-        requests=_kept(requests),
-        step_time_notes=dict(step_time_notes or {}),
         node_reports=node_reports,
-        billing_notes=tuple(
-            f"{n.node}: {n.billing_note}"
-            for n in node_reports
-            if n.billing_note is not None
-        ),
-        kv_tiers=merge_tier_reports(node_reports),
-        spilled_decode_seconds=sum(
-            n.spilled_decode_seconds for n in node_reports
-        ),
+        step_time_notes=step_time_notes,
+        fleet_symmetry=fleet_symmetry,
     )
 
 
@@ -566,9 +531,9 @@ def build_fleet_report(
     """
     summary = _summarise(requests)
     if not summary.completed and not sheds:
-        raise SchedulingError("fleet drain completed no requests; nothing to report")
+        raise SchedulingError("drain completed no requests; nothing to report")
     if makespan_seconds <= 0:
-        raise SchedulingError("fleet drain makespan must be positive")
+        raise SchedulingError("drain makespan must be positive")
     tokens_per_second = summary.generated_tokens / makespan_seconds
     fleet_cost_usd = sum(node.cost_usd for node in node_reports)
     return ServingReport(

@@ -21,7 +21,7 @@ never silently dropped -- the configured ``action`` decides its fate:
 Everything is deterministic under fixed seeds (backoff jitter comes from
 a private ``random.Random`` keyed by ``(seed, request, attempt)``), and
 an :class:`OverloadControl` with *no* bounds is normalised away by the
-cluster -- overload-off drains run the exact pre-overload code path.
+cluster -- overload-off drains deliver unbounded.
 
 CLI grammar (see :func:`parse_overload_spec`; ``-`` leaves a bound
 unset, at least one bound is required)::

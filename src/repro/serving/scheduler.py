@@ -1,13 +1,13 @@
-"""The single-system serving scheduler (a 1-node cluster shim).
+"""The single-system serving scheduler (a 1-node cluster).
 
 :class:`OfflineServingScheduler` is the original single-host API: one
-system, one policy, one queue.  Since the cluster redesign its drain
-delegates to a 1-node :class:`~repro.serving.cluster.ClusterScheduler` --
-the admission/preemption state machine lives in
-:class:`~repro.serving.engine.NodeEngine`, and a preloaded single engine
-runs it exactly as the pre-cluster scheduler did, so this shim reproduces
-the historical schedules bit for bit (asserted by the property tests in
-``tests/serving/test_cluster.py``).
+system, one policy, one queue.  It is a 1-node
+:class:`~repro.serving.cluster.ClusterScheduler`, so its drain is the
+cluster's: the dispatcher delivers each request to the node's
+:class:`~repro.serving.engine.NodeEngine` at its arrival time, and the
+report comes back in the single-system shape (the system's name, no
+router).  Its schedules are pinned by the golden corpus in
+``tests/serving/golden/``.
 
 Request lifecycle (the admission/preemption state machine)::
 
@@ -47,12 +47,11 @@ from repro.serving.cluster import ClusterScheduler
 from repro.serving.engine import Node
 from repro.serving.metrics import ServingReport
 from repro.serving.policies import SchedulingPolicy
-from repro.serving.request import ServingRequest
 from repro.serving.steptime import CalibratedStepTime, StepTimeModel
 from repro.workloads.requests import RequestClass
 
 
-class OfflineServingScheduler:
+class OfflineServingScheduler(ClusterScheduler):
     """Drains heterogeneous request queues through one inference system.
 
     ``prefill_chunk_tokens`` enables chunked prefill: each scheduling
@@ -72,50 +71,18 @@ class OfflineServingScheduler:
         budget: CapacityBudget | None = None,
         prefill_chunk_tokens: int | None = None,
     ) -> None:
-        self._node = Node(
+        node = Node(
             system,
             step_time=step_time,
             budget=budget,
             prefill_chunk_tokens=prefill_chunk_tokens,
         )
-        self.policy = policy
-
-    # Legacy attribute surface: callers read these off the scheduler.
-
-    @property
-    def system(self) -> InferenceSystem:
-        return self._node.system
+        super().__init__([node], policy=policy)
 
     @property
     def step_time(self) -> StepTimeModel:
-        return self._node.step_time
-
-    @property
-    def budget(self) -> CapacityBudget:
-        return self._node.budget
-
-    @property
-    def prefill_chunk_tokens(self) -> int | None:
-        return self._node.prefill_chunk_tokens
-
-    def drain(
-        self,
-        requests: Sequence[RequestClass] | Sequence[ServingRequest],
-        arrivals: ArrivalProcess | None = None,
-    ) -> ServingReport:
-        """Run the queue to empty and return aggregate + per-request metrics.
-
-        ``arrivals`` stamps the queue with an arrival schedule before the
-        simulation starts; without it requests keep the arrival times they
-        carry (zero for queues built from bare :class:`RequestClass`
-        shapes -- the classic offline drain).
-        """
-        # fleet_symmetry="full" pins the preloaded legacy loop explicitly:
-        # this shim's contract is bit-identical historical schedules, not
-        # the folded drain's 1e-9 equivalence.
-        return ClusterScheduler(
-            [self._node], policy=self.policy, fleet_symmetry="full"
-        ).drain(requests, arrivals=arrivals)
+        """The node's step-time model (shared calibration, flushed by callers)."""
+        return self.nodes[0].step_time
 
 
 def drain_queue(

@@ -14,13 +14,15 @@ from tests.serving.golden import FOLDED_PINS, FULL_PINS, derive_folded, derive_f
 
 def repin(path, derived: dict[str, str]) -> None:
     old = json.loads(path.read_text()) if path.exists() else {}
-    moved = sorted(
-        cell for cell in old.keys() | derived.keys() if old.get(cell) != derived.get(cell)
-    )
+    cells = old.keys() | derived.keys()
+    moved = sorted(cell for cell in cells if old.get(cell) != derived.get(cell))
     for cell in moved:
-        state = (
-            "added" if cell not in old else "dropped" if cell not in derived else "moved"
-        )
+        if cell not in old:
+            state = "added"
+        elif cell not in derived:
+            state = "dropped"
+        else:
+            state = "moved"
         print(f"{path.name}: {state} {cell}")
     print(f"{path.name}: {len(moved)} of {len(derived)} cells differ from the pins")
     path.write_text(json.dumps(derived, indent=1, sort_keys=True) + "\n")

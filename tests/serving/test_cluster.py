@@ -1,4 +1,4 @@
-"""Cluster scheduler tests: 1-node bit-identity, fleet drains, reports."""
+"""Cluster scheduler tests: 1-node report shape, fleet drains, reports."""
 
 from __future__ import annotations
 
@@ -13,9 +13,7 @@ from repro.serving import (
     CapacityBudget,
     ClusterScheduler,
     ContinuousBatching,
-    FCFSFixedBatch,
     LeastOutstandingTokens,
-    LengthBucketedBatch,
     Node,
     OfflineServingScheduler,
     PoissonArrivals,
@@ -43,52 +41,14 @@ def make_nodes(system, n, **node_kwargs):
     ]
 
 
-class TestSingleNodeBitIdentity:
-    """ISSUE acceptance: ``ClusterScheduler([node], router=RoundRobin())``
-    reproduces the legacy single-node schedule bit for bit."""
+class TestSingleNodeReport:
+    """A 1-node cluster reports in the single-system shape.
 
-    N_REQUESTS = 40
-
-    @pytest.mark.parametrize(
-        "policy_factory",
-        [
-            lambda: FCFSFixedBatch(4),
-            lambda: LengthBucketedBatch(4),
-            lambda: ContinuousBatching(4),
-            lambda: ContinuousBatching(4, admission="optimistic"),
-        ],
-        ids=["fcfs", "bucketed", "continuous", "optimistic"],
-    )
-    @pytest.mark.parametrize(
-        "arrival_factory",
-        [
-            lambda seed: None,
-            lambda seed: PoissonArrivals(rate_per_second=0.2, seed=seed),
-        ],
-        ids=["offline", "poisson"],
-    )
-    @pytest.mark.parametrize("chunk", [None, 128], ids=["whole", "chunked"])
-    @pytest.mark.parametrize("seed", [3, 11])
-    def test_one_node_cluster_matches_legacy_scheduler(
-        self, system, policy_factory, arrival_factory, chunk, seed
-    ):
-        queue = sample_request_classes(self.N_REQUESTS, seed=seed)
-        legacy = OfflineServingScheduler(
-            system,
-            policy_factory(),
-            step_time=unit_steps(),
-            prefill_chunk_tokens=chunk,
-        ).drain(list(queue), arrivals=arrival_factory(seed))
-        node = Node(system, step_time=unit_steps(), prefill_chunk_tokens=chunk)
-        cluster = ClusterScheduler(
-            [node], policy_factory(), router=RoundRobin()
-        ).drain(list(queue), arrivals=arrival_factory(seed))
-        # Same per-request finish times, same report -- bit for bit.
-        assert repr(legacy.requests) == repr(cluster.requests)
-        assert [r.completion_time for r in legacy.requests] == [
-            r.completion_time for r in cluster.requests
-        ]
-        assert legacy == cluster
+    Its schedules -- through ``ClusterScheduler`` and the
+    ``OfflineServingScheduler`` API alike -- are pinned per policy x
+    arrival process x chunking by the golden corpus
+    (``tests/serving/golden/full_drains.json``).
+    """
 
     def test_default_policy_and_router(self, system):
         """The ISSUE's literal spelling constructs and drains."""
