@@ -12,7 +12,8 @@ pin files cover the two fleet paths:
 * ``full_drains.json`` pins drains that simulate every node: 1-node
   drains through :class:`~repro.serving.ClusterScheduler` and
   :class:`~repro.serving.OfflineServingScheduler` (policies x arrivals x
-  chunking), 3-node round-robin / JSQ / best-fit fleets, tiered KV
+  chunking), 3-node round-robin / JSQ / best-fit fleets (plus one JSQ
+  fleet under sparse arrivals, whose routes land mid-decode), tiered KV
   nodes, faults, overload control and autoscaling.
 
 ``test_golden.py`` re-derives both.  After a deliberate change to
@@ -77,6 +78,15 @@ ARRIVALS = {
     "offline": lambda: None,
     "poisson": lambda: PoissonArrivals(rate_per_second=2.0, seed=SEED),
     "burst": lambda: BatchedArrivals(0.02, 16, seed=SEED),
+}
+
+#: Arrivals of the single JSQ decode-progress cell, kept out of
+#: :data:`ARRIVALS` so the policy x arrival matrices do not grow.  At 0.05
+#: requests/s the 64 arrivals spread over ~1300 s, so routes land while
+#: nodes are deep in decode and JSQ's ranking depends on how it counts a
+#: running request's remaining work.
+SPARSE_ARRIVALS = {
+    "sparse": lambda: PoissonArrivals(rate_per_second=0.05, seed=SEED),
 }
 
 NODE_COUNTS = (4, 8)
@@ -200,7 +210,8 @@ def full_report(
         fleet_symmetry="full",
         **controls,
     )
-    return scheduler.drain(corpus_queue(), arrivals=ARRIVALS[arrivals]())
+    arrival_process = {**ARRIVALS, **SPARSE_ARRIVALS}[arrivals]()
+    return scheduler.drain(corpus_queue(), arrivals=arrival_process)
 
 
 def shim_report(policy: str, arrivals: str, chunk: str):
@@ -235,6 +246,9 @@ def full_scenarios() -> dict[str, Callable]:
                 cells[f"{router}-{policy}-{arrivals}-3n"] = functools.partial(
                     full_report, 3, policy, arrivals, router=router
                 )
+    cells["jsq-optimistic-sparse-3n"] = functools.partial(
+        full_report, 3, "optimistic", "sparse", router="jsq"
+    )
     for tiers in TIER_POLICIES:
         for nodes in (1, 2):
             for arrivals in ("offline", "poisson"):
