@@ -28,6 +28,10 @@ checks are:
   negative; every reservation is released by drain end) and by
   :class:`~repro.serving.cluster.ClusterScheduler` (fleet report token and
   request counts must equal the sum of the per-node outcomes);
+* **integer-ledger** -- enforced by
+  :class:`~repro.serving.budget.BudgetTracker`: every flat-ledger entry it
+  moves, and its running total, is an integer below ``2**53``, the premise
+  that makes a batched update's one-shot sum exact;
 * **tier-conservation** -- enforced by
   :class:`~repro.serving.kvtiers.TieredBudgetTracker` on tiered nodes:
   per-tier occupancy never exceeds the tier's capacity and never goes

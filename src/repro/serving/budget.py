@@ -24,7 +24,9 @@ traffic, and spilled-decode read time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from repro.analysis.capacity import (
     DRAM_RESERVE_FRACTION,
@@ -41,6 +43,10 @@ from repro.serving.request import ServingRequest
 #: Fraction of the raw cache home kept free for metadata, page-alignment
 #: padding, and (on flash) over-provisioning headroom.
 CAPACITY_HEADROOM_FRACTION = 0.10
+
+#: Integers below this magnitude are exact floats, and so are their sums
+#: while the sums stay below it.
+_EXACT_LIMIT = 2.0**53
 
 
 @dataclass(frozen=True)
@@ -95,18 +101,29 @@ class BudgetTracker:
       never burst past the budget;
     * *optimistic* -- requests hold only their **current**-context bytes
       (:meth:`occupy`), re-marked after every generated token
-      (:meth:`update`); overflow is possible by construction and the
-      scheduler resolves it by preempting the youngest request before the
-      step that would burst (:meth:`growth_bytes` prices that check).
+      (:meth:`update`, or :meth:`update_batch` for a whole decode batch);
+      overflow is possible by construction and the scheduler resolves it
+      by preempting the youngest request before the step that would burst
+      (every running request's next token appends :attr:`token_bytes`,
+      which prices that check).
 
     ``peak_reserved_bytes`` lets tests assert the budget invariant held
     for a whole drain under either accounting.
 
+    Every ledger entry is ``weight`` times an integer byte figure from
+    :meth:`~repro.models.config.ModelConfig.kv_cache_bytes`, so entries,
+    their differences and the running total are integers well below
+    ``2**53``: float addition over them is exact in any order.  That is
+    what lets :meth:`update_batch` add a whole batch's deltas once instead
+    of once per request.
+
     With ``sanitize`` on (sanitized drains set it from their simulator)
-    every ledger movement is conservation-checked: occupied bytes may
-    never go negative, and :meth:`assert_drained` verifies the ledger is
-    empty -- every reservation released, residue within float tolerance --
-    at drain end.  Sanitized trackers also stamp each admitted request's
+    every ledger movement is checked: occupied bytes may never go
+    negative, the moved figures and the total must keep the integer
+    premise above (the ``integer-ledger`` invariant), and
+    :meth:`assert_drained` verifies the ledger is empty -- every
+    reservation released, residue within float tolerance -- at drain end.
+    Sanitized trackers also stamp each admitted request's
     :attr:`~repro.serving.request.ServingRequest.kv_holder` with ``owner``
     (the node name, for per-node trackers) so a migrated request admitted
     elsewhere before the dead node released its bytes is caught as a
@@ -166,6 +183,8 @@ class BudgetTracker:
         self._held[request.request_id] = need
         self.reserved_bytes += need
         self.peak_reserved_bytes = max(self.peak_reserved_bytes, self.reserved_bytes)
+        if self.sanitize:
+            self._check_integral(request.request_id, need)
 
     def reserve(self, request: ServingRequest) -> None:
         """Record a final-context admission; refuses to overcommit.
@@ -194,20 +213,56 @@ class BudgetTracker:
             request, request.weight * request.kv_admission_bytes(self.model)
         )
 
+    @property
+    def token_bytes(self) -> int:
+        """KV bytes one token adds to any request's cache (an integer)."""
+        return self.model.kv_cache_bytes(1, 1)
+
     def update(self, request: ServingRequest) -> None:
         """Re-mark an occupied request at its (grown) current context."""
+        self.update_batch((request,))
+
+    def update_batch(self, requests: Iterable[ServingRequest]) -> None:
+        """Re-mark occupied ``requests`` at their current contexts, in order.
+
+        Equal to calling :meth:`update` on each request in turn -- the same
+        entries, ``reserved_bytes`` and ``peak_reserved_bytes``, and the same
+        error for a request without a reservation -- but the deltas reach
+        ``reserved_bytes`` once.  That is exact because every entry is an
+        integer below ``2**53`` (see the class docstring): the partial sums
+        are the very totals the sequential updates pass through, so their
+        maximum is the sequential peak.
+        """
+        held = self._held
+        token_bytes = self.token_bytes
+        sanitize = self.sanitize
+        base = self.reserved_bytes
+        moved = 0.0
+        high = -math.inf
         try:
-            held = self._held[request.request_id]
-        except KeyError:
-            raise SchedulingError(
-                f"request {request.request_id} updated without a reservation"
-            ) from None
-        now = request.weight * request.kv_current_bytes(self.model)
-        self._held[request.request_id] = now
-        self.reserved_bytes += now - held
-        self.peak_reserved_bytes = max(self.peak_reserved_bytes, self.reserved_bytes)
-        if self.sanitize:
-            self._check_occupancy(request.request_id)
+            for request in requests:
+                request_id = request.request_id
+                try:
+                    before = held[request_id]
+                except KeyError:
+                    raise SchedulingError(
+                        f"request {request_id} updated without a reservation"
+                    ) from None
+                now = request.weight * float(
+                    token_bytes
+                    * (request.request_class.input_tokens + request.tokens_generated)
+                )
+                held[request_id] = now
+                moved += now - before
+                if moved > high:
+                    high = moved
+                if sanitize:
+                    self.reserved_bytes = base + moved
+                    self._check_integral(request_id, before, now)
+                    self._check_occupancy(request_id)
+        finally:
+            self.reserved_bytes = base + moved
+            self.peak_reserved_bytes = max(self.peak_reserved_bytes, base + high)
 
     def release_share(self, request: ServingRequest, members: int = 1) -> None:
         """Release ``members`` members' share of a folded reservation.
@@ -230,14 +285,16 @@ class BudgetTracker:
         self._held[request.request_id] = held - share
         self.reserved_bytes -= share
         if self.sanitize:
+            self._check_integral(request.request_id, held, share)
             self._check_occupancy(request.request_id)
 
     def growth_bytes(self, request: ServingRequest) -> float:
-        """Bytes the next generated token appends to ``request``'s cache."""
-        return float(
-            self.model.kv_cache_bytes(1, request.context_tokens + 1)
-            - self.model.kv_cache_bytes(1, request.context_tokens)
-        )
+        """Bytes the next generated token appends to ``request``'s cache.
+
+        KV bytes are linear in context, so this is :attr:`token_bytes` for
+        every request.
+        """
+        return float(self.token_bytes)
 
     def release(self, request: ServingRequest) -> None:
         """Return a completed request's reservation to the pool."""
@@ -250,9 +307,26 @@ class BudgetTracker:
         self.reserved_bytes -= need
         if self.sanitize:
             request.kv_holder = None
+            self._check_integral(request.request_id, need)
             self._check_occupancy(request.request_id)
 
     # --- sanitizer invariants ---------------------------------------------------
+
+    def _check_integral(self, request_id: int, *moved: float) -> None:
+        """Moved entries and the running total are integers below ``2**53``.
+
+        The premise that makes ledger sums independent of their order (see
+        :meth:`update_batch`).
+        """
+        for value in (*moved, self.reserved_bytes):
+            if not (float(value).is_integer() and abs(value) < _EXACT_LIMIT):
+                raise SanitizerError(
+                    f"KV ledger moved {value!r} bytes (budget "
+                    f"{self.budget.description!r}); ledger figures must be "
+                    "integers below 2**53 for batched updates to be exact",
+                    invariant="integer-ledger",
+                    request_id=request_id,
+                )
 
     def _check_occupancy(self, request_id: int) -> None:
         """Occupied bytes may never go meaningfully negative."""

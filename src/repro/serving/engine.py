@@ -28,7 +28,24 @@ the rest of the burst is delivered.
 
 The engine also exposes the live load views routers place against:
 :attr:`outstanding_tokens` (JSQ) and :attr:`kv_headroom_bytes` /
-:meth:`kv_fits` (KV-aware best fit).
+:meth:`kv_fits` (KV-aware best fit).  They are computed on read;
+``outstanding_tokens`` is one pass over the four queues.
+
+**Per-iteration cost.** A decode iteration is one DES event plus a few
+flat passes over the running batch, with no per-request method chains:
+the step-time context mean reads ``request_class.input_tokens +
+tokens_generated`` directly; the token increment is followed by one
+:meth:`~repro.serving.budget.BudgetTracker.update_batch` call that
+re-marks the whole batch (a flat tracker adds the batch's deltas to its
+total once; a tiered tracker keeps the per-request placement order); the
+optimistic overflow check prices the next token's growth as the batch's
+member count times the model's per-token KV bytes, one integer product;
+and a tiered node adds one spilled-read pass.  Adding in one shot is
+exact because every flat-ledger entry is ``weight`` times an integer
+byte count below ``2**53``, so float sums over the entries do not depend
+on order: the one-shot total equals one ``update`` per request bit for
+bit.  Sanitized drains check that premise on every ledger movement (the
+``integer-ledger`` invariant).
 
 Under fault injection (:mod:`repro.serving.faults`) the engine carries a
 node lifecycle::
@@ -416,14 +433,20 @@ class NodeEngine:
 
         Counts prefill tokens not yet computed plus output tokens not yet
         generated, over queued and active requests alike -- the join-the-
-        shortest-queue load signal.
+        shortest-queue load signal.  Per request that is the final context
+        less the prefill progress, which is what the sum reads.  A running
+        request's prefill progress stays at the context its last prefill
+        built, so its term does not shrink while it decodes -- a known gap
+        kept until a deliberate change of the routing behaviour.
         """
-        live = list(self.pending) + list(self.waiting) + self.prefilling + self.running
-        return sum(
-            r.weight
-            * (r.prefill_remaining_tokens + (r.output_tokens - r.tokens_generated))
-            for r in live
-        )
+        tokens = 0
+        for queue in (self.pending, self.waiting, self.prefilling, self.running):
+            for r in queue:
+                shape = r.request_class
+                tokens += r.weight * (
+                    shape.input_tokens + shape.output_tokens - r.prefill_tokens_done
+                )
+        return tokens
 
     @property
     def kv_headroom_bytes(self) -> float:
@@ -589,8 +612,8 @@ class NodeEngine:
                     yield sim.timeout(self._iteration_seconds())
                     for request in self.running:
                         request.tokens_generated += 1
-                        if optimistic:
-                            self.tracker.update(request)
+                    if optimistic:
+                        self.tracker.update_batch(self.running)
                     self._retire_finished()
                 progressed = True
             if progressed:
@@ -683,10 +706,11 @@ class NodeEngine:
         rejoins the waiting queue -- the rest of the membership keeps
         decoding, exactly as the unfolded schedule would.
         """
+        # Every running request's next token appends the same per-token
+        # bytes, an integer, so the batch's growth is one product.
+        token_bytes = self.tracker.token_bytes
         while True:
-            growth = sum(
-                r.weight * self.tracker.growth_bytes(r) for r in self.running
-            )
+            growth = float(total_weight(self.running) * token_bytes)
             if self.tracker.fits_bytes(growth):
                 return
             candidates = self.running + self.prefilling
@@ -718,19 +742,25 @@ class NodeEngine:
 
     def _iteration_seconds(self) -> float:
         running = self.running
-        members = total_weight(running)
+        members = 0
+        tokens = 0
+        longest = 0
+        for r in running:
+            context = r.request_class.input_tokens + r.tokens_generated
+            members += r.weight
+            tokens += r.weight * context
+            if context > longest:
+                longest = context
         if self.policy.padded:
             # Padded execution: every slot of the formed batch pays for the
             # longest live context, even after its own request finished.
             batch = max(self._batch_slots, members)
-            context = max(r.context_tokens for r in running)
+            context = longest
         else:
             batch = members
             # Weighted mean context: the sums are integers, so this equals
             # the unfolded per-member mean bit for bit.
-            context = round(
-                sum(r.weight * r.context_tokens for r in running) / members
-            )
+            context = round(tokens / members)
         seconds = (
             self.node.step_time.step_seconds(batch, max(1, context))
             * self._slow_factor
@@ -758,7 +788,9 @@ class NodeEngine:
 
     def _retire_finished(self) -> None:
         for request in [
-            r for r in self.running if r.tokens_generated >= r.output_tokens
+            r
+            for r in self.running
+            if r.tokens_generated >= r.request_class.output_tokens
         ]:
             request.completion_time = self.sim.now
             self.tracker.release(request)

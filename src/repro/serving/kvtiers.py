@@ -69,6 +69,7 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from repro.analysis.sanitizer import SanitizerError
 from repro.errors import ConfigurationError, SchedulingError
@@ -441,22 +442,63 @@ class TieredBudgetTracker(BudgetTracker):
         self._requests[request.request_id] = request
         self._place(request, need)
 
-    def update(self, request: ServingRequest) -> None:
-        before = self._held.get(request.request_id)
-        super().update(request)
-        if before is None:
-            return  # unreachable: super() raised on the missing reservation
-        delta = self._held[request.request_id] - before
-        if delta > 0.0:
-            self._place_growth(request, delta)
-        elif delta < 0.0:
-            raise SchedulingError(
-                f"request {request.request_id} shrank its KV ledger entry "
-                "mid-flight; tiered residency only grows between admission "
-                "and release"
+    def update_batch(self, requests: Iterable[ServingRequest]) -> None:
+        """Re-mark ``requests`` and place each one's growth, in batch order.
+
+        Per request, exactly :meth:`BudgetTracker.update` followed by the
+        growth placement: tier occupancies are fractional under partial
+        policies, so the order requests claim top-tier room in must stay
+        the batch order.  Only the stack, top-tier and placement-fraction
+        lookups are hoisted out of the loop.
+        """
+        held = self._held
+        token_bytes = self.token_bytes
+        sanitize = self.sanitize
+        tiers = self.stack.tiers
+        top = tiers[0]
+        top_ledger = self._ledgers[top.name]
+        spills = len(tiers) > 1
+        fraction = self.policy.placement_fraction()
+        for request in requests:
+            request_id = request.request_id
+            try:
+                before = held[request_id]
+            except KeyError:
+                raise SchedulingError(
+                    f"request {request_id} updated without a reservation"
+                ) from None
+            now = request.weight * float(
+                token_bytes
+                * (request.request_class.input_tokens + request.tokens_generated)
             )
-        if self.sanitize:
-            self._check_residency(request)
+            held[request_id] = now
+            self.reserved_bytes += now - before
+            self.peak_reserved_bytes = max(
+                self.peak_reserved_bytes, self.reserved_bytes
+            )
+            if sanitize:
+                self._check_integral(request_id, before, now)
+                self._check_occupancy(request_id)
+            delta = now - before
+            if delta > 0.0:
+                # One decode token's growth is part of the decode write, so
+                # its placement cascades unbilled.
+                if not spills:
+                    self._occupy_tier(top.name, request_id, delta)
+                else:
+                    top_free = top.capacity_bytes - top_ledger.occupied_bytes
+                    placed = min(fraction * delta, max(0.0, top_free))
+                    if placed > 0.0:
+                        self._occupy_tier(top.name, request_id, placed)
+                    self._push_into_lower(request_id, delta - placed, billed=False)
+            elif delta < 0.0:
+                raise SchedulingError(
+                    f"request {request_id} shrank its KV ledger entry "
+                    "mid-flight; tiered residency only grows between admission "
+                    "and release"
+                )
+            if sanitize:
+                self._check_residency(request)
 
     def release(self, request: ServingRequest) -> None:
         super().release(request)
@@ -523,21 +565,6 @@ class TieredBudgetTracker(BudgetTracker):
         if self.sanitize:
             self._check_residency(request)
             self._check_tier_occupancy(request_id)
-
-    def _place_growth(self, request: ServingRequest, delta: float) -> None:
-        """Place one decode token's KV growth (part of the decode write)."""
-        request_id = request.request_id
-        tiers = self.stack.tiers
-        if len(tiers) == 1:
-            self._occupy_tier(tiers[0].name, request_id, delta)
-            return
-        top = tiers[0]
-        want_top = self.policy.placement_fraction() * delta
-        top_free = top.capacity_bytes - self._ledgers[top.name].occupied_bytes
-        placed = min(want_top, max(0.0, top_free))
-        if placed > 0.0:
-            self._occupy_tier(top.name, request_id, placed)
-        self._push_into_lower(request_id, delta - placed, billed=False)
 
     def _push_into_lower(
         self, request_id: int, amount: float, billed: bool
@@ -683,24 +710,31 @@ class TieredBudgetTracker(BudgetTracker):
         """
         tiers = self.stack.tiers
         top_name = tiers[0].name
+        top_ledger = self._ledgers[top_name]
+        lower = [(tier, self._ledgers[tier.name]) for tier in tiers[1:]]
+        token_bytes = self.token_bytes
+        residencies = self._residency
         total_extra = 0.0
         for request in running:
-            residency = self._residency.get(request.request_id)
+            residency = residencies.get(request.request_id)
             if not residency:
                 continue
             resident_total = sum(residency.values())
             if resident_total <= 0.0:
                 continue
-            current = request.weight * request.kv_current_bytes(self.model)
+            current = request.weight * float(
+                token_bytes
+                * (request.request_class.input_tokens + request.tokens_generated)
+            )
             top_share = residency.get(top_name, 0.0) / resident_total
-            self._ledgers[top_name].decode_read_bytes += current * top_share
+            top_ledger.decode_read_bytes += current * top_share
             extra = 0.0
-            for tier in tiers[1:]:
+            for tier, ledger in lower:
                 held = residency.get(tier.name, 0.0)
                 if held <= 0.0:
                     continue
                 read = current * (held / resident_total)
-                self._ledgers[tier.name].decode_read_bytes += read
+                ledger.decode_read_bytes += read
                 extra += step_time.spill_read_seconds(
                     read, tier.bandwidth_bytes_per_s
                 )

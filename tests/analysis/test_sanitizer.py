@@ -176,6 +176,21 @@ class TestBudgetTrackerErrorPaths:
         assert excinfo.value.invariant == "budget-conservation"
         assert excinfo.value.request_id == 7
 
+    @pytest.mark.parametrize("movement", ["update_batch", "release"])
+    def test_fractional_ledger_entry_fires_sanitizer(self, tiny_mha, movement):
+        """Batched updates add a batch's deltas once, which is exact only
+        while every ledger figure is an integer below 2**53."""
+        tracker = make_tracker(tiny_mha)
+        request = make_request(7)
+        tracker.occupy(request)
+        request.tokens_generated = 1
+        tracker._held[7] += 0.5
+        move = getattr(tracker, movement)
+        with pytest.raises(SanitizerError, match="integers") as excinfo:
+            move([request] if movement == "update_batch" else request)
+        assert excinfo.value.invariant == "integer-ledger"
+        assert excinfo.value.request_id == 7
+
     def test_negative_occupancy_silent_when_off(self, tiny_mha):
         tracker = make_tracker(tiny_mha, sanitize=False)
         request = make_request(7)

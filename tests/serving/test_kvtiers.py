@@ -13,6 +13,8 @@ and the fault-injected drain paths.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.analysis.sanitizer import SanitizerError
@@ -38,10 +40,12 @@ from repro.serving import (
     parse_kv_policy_spec,
     parse_kv_tiers_spec,
 )
+from repro.serving.budget import BudgetTracker
 from repro.serving.cluster import check_report_conservation
 from repro.serving.faults import parse_fault_spec
+from repro.serving.request import ServingRequest
 from repro.workloads import sample_request_classes
-from repro.workloads.requests import LONG, SHORT
+from repro.workloads.requests import LONG, SHORT, RequestClass
 
 
 @pytest.fixture
@@ -84,6 +88,21 @@ def admit(tracker, request, at):
     request.last_admitted_time = at
     tracker.reserve(request)  # simlint: disable=SIM004
     return request
+
+
+def ledger_state(tracker) -> str:
+    """Every ledger figure a tracker holds, floats written exactly."""
+    state = [
+        tracker.reserved_bytes,
+        tracker.peak_reserved_bytes,
+        sorted(tracker._held.items()),
+    ]
+    if isinstance(tracker, TieredBudgetTracker):
+        state.append(sorted(tracker._ledgers.items()))
+        residency = tracker._residency.items()
+        state.append(sorted((rid, sorted(where.items())) for rid, where in residency))
+        state.append(tracker._pending_transfer_seconds)
+    return repr(state)
 
 
 class TestParseTiersSpec:
@@ -483,6 +502,124 @@ class TestTierConservation:
         # updating before any token exists would shrink the entry.
         with pytest.raises(SchedulingError, match="shrank"):
             tracker.update(request)
+
+
+class TestBatchReMark:
+    """``update_batch`` leaves every tracker exactly where one ``update`` per
+    request leaves it: ledger totals, peak, entries, tier ledgers and
+    residency, compared bit for bit (``repr``) after every batch."""
+
+    KINDS = ("flat-folded", "lru", "attention")
+    LIVE = 8
+    LONGEST = 500  # tokens: the largest final context a script draws
+
+    def tracker(self, kind, model):
+        room = float(model.kv_cache_bytes(1, self.LONGEST))
+        if kind == "flat-folded":
+            # Folded representatives of up to four members each.
+            return BudgetTracker(
+                budget=CapacityBudget(4 * self.LIVE * room, "folded flat"),
+                model=model,
+                sanitize=True,
+            )
+        policy = LRUByRequest() if kind == "lru" else AttentionAwareDemotion(0.3)
+        # A small top tier: admissions demote and decode growth cascades.
+        return tracker_for(model, two_tier_stack(room, self.LIVE * room), policy)
+
+    def run_script(self, kind, model, seed, batched):
+        """Admit, grow, split and release at random; snapshot each batch.
+
+        Both arms draw the same random numbers, so they differ only in how
+        each batch is re-marked.
+        """
+        rng = random.Random(seed)
+        tracker = self.tracker(kind, model)
+        folded = kind == "flat-folded"
+        live: list[ServingRequest] = []
+        snapshots = []
+        next_id = 0
+        for step in range(60):
+            if len(live) < self.LIVE and rng.random() < 0.5:
+                shape = RequestClass(
+                    "Random",
+                    input_tokens=rng.randint(1, 300),
+                    output_tokens=rng.randint(1, self.LONGEST - 300),
+                )
+                request = ServingRequest(next_id, shape)
+                members = rng.randint(0, 3) if folded else 0
+                request.absorb(
+                    [ServingRequest(next_id + 1 + m, shape) for m in range(members)]
+                )
+                next_id += 1 + members
+                request.last_admitted_time = float(step)
+                tracker.occupy(request)
+                live.append(request)
+            if folded and live and rng.random() < 0.2:
+                representative = rng.choice(live)
+                if representative.weight > 1:
+                    representative.split_youngest()
+                    tracker.release_share(representative)
+            batch = rng.sample(live, rng.randint(0, len(live)))
+            for request in batch:
+                # Flat entries may also shrink (an update right after
+                # occupy); tiered entries only grow.
+                grown = rng.randint(0, 2) if folded else 1
+                request.tokens_generated = min(
+                    request.tokens_generated + grown, request.output_tokens
+                )
+            if batched:
+                tracker.update_batch(batch)
+            else:
+                for request in batch:
+                    tracker.update(request)
+            for request in [r for r in live if r.tokens_generated >= r.output_tokens]:
+                tracker.release(request)
+                live.remove(request)
+            snapshots.append(ledger_state(tracker))
+        for request in live:
+            tracker.release(request)
+        tracker.assert_drained("batch re-mark script")
+        # Every admission is released through ``live``, which the static
+        # walk cannot follow; the drained check above is the proof.
+        return snapshots  # simlint: disable=SIM004
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("seed", range(6))
+    def test_batch_equals_sequential_updates(self, tiny_mha, kind, seed):
+        batched = self.run_script(kind, tiny_mha, seed, batched=True)
+        sequential = self.run_script(kind, tiny_mha, seed, batched=False)
+        assert batched == sequential
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_batch_without_reservation_raises_after_the_held_prefix(
+        self, tiny_mha, kind
+    ):
+        def occupied():
+            tracker = self.tracker(kind, tiny_mha)
+            held, unheld = make_request_queue([SHORT, SHORT])
+            held.last_admitted_time = 0.0
+            tracker.occupy(held)  # simlint: disable=SIM004
+            held.tokens_generated = 2
+            return tracker, held, unheld
+
+        batched, held, unheld = occupied()
+        with pytest.raises(SchedulingError, match="updated without a reservation"):
+            batched.update_batch([held, unheld])
+        sequential, held, unheld = occupied()
+        sequential.update(held)
+        with pytest.raises(SchedulingError, match="updated without a reservation"):
+            sequential.update(unheld)
+        assert ledger_state(batched) == ledger_state(sequential)
+
+    @pytest.mark.parametrize("kind", ("lru", "attention"))
+    def test_tiered_batch_refuses_a_shrinking_entry(self, tiny_mha, kind):
+        tracker = self.tracker(kind, tiny_mha)
+        (request,) = make_request_queue([SHORT])
+        request.last_admitted_time = 0.0
+        tracker.occupy(request)
+        # occupy() holds prompt + first token; no token exists yet.
+        with pytest.raises(SchedulingError, match="shrank"):
+            tracker.update_batch([request])
 
 
 class TestTieredDrains:
