@@ -37,7 +37,13 @@ checks are:
   per-tier occupancy never exceeds the tier's capacity and never goes
   negative, every request's tier residency sums to its flat-ledger entry,
   and releases -- including node-death migrations -- drain every tier the
-  request touched.
+  request touched;
+* **migration-kv-release** -- enforced through the sanitizer's fleet-wide
+  KV holder table, which every sanitized
+  :class:`~repro.serving.budget.BudgetTracker` stamps on admission and
+  clears on release: a request may hold KV on one node at a time, so a
+  migrated request re-admitted before the node it left released its
+  bytes is caught instead of silently double-counting KV.
 
 This module sits below the simulation layers on purpose: it imports only
 :mod:`repro.errors`, so :mod:`repro.sim.engine` and
@@ -98,13 +104,16 @@ class SimSanitizer:
     Holds strong references to every untriggered event that has waiters:
     those are exactly the events a drain-end check must be able to name,
     and they are removed the moment they trigger, so steady-state memory
-    tracks the (small) set of genuinely pending waits.
+    tracks the (small) set of genuinely pending waits.  It also holds the
+    KV holder table (request id -> ledger owner) of every serving node
+    sharing the simulator.
     """
 
-    __slots__ = ("_waiting",)
+    __slots__ = ("_waiting", "_kv_owners")
 
     def __init__(self) -> None:
         self._waiting: dict[int, "Event"] = {}
+        self._kv_owners: dict[int, str] = {}
 
     # --- engine hooks -----------------------------------------------------------
 
@@ -167,3 +176,25 @@ class SimSanitizer:
             invariant="lost-wakeup",
             sim_time=sim.now,
         )
+
+    # --- serving hooks ----------------------------------------------------------
+
+    def claim_kv(self, request_id: int, owner: str) -> None:
+        """migration-kv-release: stamp ``owner`` as the request's KV holder.
+
+        Refuses a request whose bytes another ledger still holds.
+        """
+        holder = self._kv_owners.get(request_id)
+        if holder is not None:
+            raise SanitizerError(
+                f"request {request_id} admitted on {owner!r} while its KV "
+                f"bytes are still held on {holder!r}; a migration must "
+                "release the dead node's ledger before re-admission",
+                invariant="migration-kv-release",
+                request_id=request_id,
+            )
+        self._kv_owners[request_id] = owner
+
+    def release_kv(self, request_id: int) -> None:
+        """Clear the request's KV holder stamp (its ledger released it)."""
+        self._kv_owners.pop(request_id, None)

@@ -34,7 +34,7 @@ from repro.analysis.capacity import (
     KVPlacement,
     WeightPlacement,
 )
-from repro.analysis.sanitizer import SanitizerError
+from repro.analysis.sanitizer import SanitizerError, SimSanitizer
 from repro.baselines.base import InferenceSystem
 from repro.errors import SchedulingError
 from repro.models.config import ModelConfig
@@ -117,18 +117,17 @@ class BudgetTracker:
     what lets :meth:`update_batch` add a whole batch's deltas once instead
     of once per request.
 
-    With ``sanitize`` on (sanitized drains set it from their simulator)
-    every ledger movement is checked: occupied bytes may never go
-    negative, the moved figures and the total must keep the integer
-    premise above (the ``integer-ledger`` invariant), and
-    :meth:`assert_drained` verifies the ledger is empty -- every
-    reservation released, residue within float tolerance -- at drain end.
-    Sanitized trackers also stamp each admitted request's
-    :attr:`~repro.serving.request.ServingRequest.kv_holder` with ``owner``
-    (the node name, for per-node trackers) so a migrated request admitted
-    elsewhere before the dead node released its bytes is caught as a
-    ``migration-kv-release`` violation instead of silently double-counting
-    KV across the fleet.
+    With a ``sanitizer`` (sanitized drains pass their simulator's) every
+    ledger movement is checked: occupied bytes may never go negative, the
+    moved figures and the total must keep the integer premise above (the
+    ``integer-ledger`` invariant), and :meth:`assert_drained` verifies the
+    ledger is empty -- every reservation released, residue within float
+    tolerance -- at drain end.  Sanitized trackers also stamp each
+    admission in the sanitizer's fleet-wide KV holder table under
+    ``owner`` (the node name, for per-node trackers), so a migrated
+    request admitted elsewhere before the dead node released its bytes is
+    caught as a ``migration-kv-release`` violation instead of silently
+    double-counting KV across the fleet.
     """
 
     budget: CapacityBudget
@@ -136,9 +135,9 @@ class BudgetTracker:
     reserved_bytes: float = 0.0
     peak_reserved_bytes: float = 0.0
     _held: dict[int, float] = field(default_factory=dict)
-    sanitize: bool = False
+    sanitizer: SimSanitizer | None = None
     #: Display name of the ledger's owner (node name in cluster drains);
-    #: used only for kv-holder provenance and error messages.
+    #: used only for KV holder provenance and error messages.
     owner: str = ""
 
     def _conservation_tolerance(self) -> float:
@@ -168,22 +167,14 @@ class BudgetTracker:
             )
         if request.request_id in self._held:
             raise SchedulingError(f"request {request.request_id} reserved twice")
-        if self.sanitize:
-            if request.kv_holder is not None:
-                raise SanitizerError(
-                    f"request {request.request_id} admitted on "
-                    f"{self.owner or self.budget.description!r} while its KV "
-                    f"bytes are still held on {request.kv_holder!r}; a "
-                    "migration must release the dead node's ledger before "
-                    "re-admission",
-                    invariant="migration-kv-release",
-                    request_id=request.request_id,
-                )
-            request.kv_holder = self.owner or self.budget.description
+        if self.sanitizer is not None:
+            self.sanitizer.claim_kv(
+                request.request_id, self.owner or self.budget.description
+            )
         self._held[request.request_id] = need
         self.reserved_bytes += need
         self.peak_reserved_bytes = max(self.peak_reserved_bytes, self.reserved_bytes)
-        if self.sanitize:
+        if self.sanitizer is not None:
             self._check_integral(request.request_id, need)
 
     def reserve(self, request: ServingRequest) -> None:
@@ -235,7 +226,7 @@ class BudgetTracker:
         """
         held = self._held
         token_bytes = self.token_bytes
-        sanitize = self.sanitize
+        sanitize = self.sanitizer is not None
         base = self.reserved_bytes
         moved = 0.0
         high = -math.inf
@@ -284,7 +275,7 @@ class BudgetTracker:
         share = members * (held / (request.weight + members))
         self._held[request.request_id] = held - share
         self.reserved_bytes -= share
-        if self.sanitize:
+        if self.sanitizer is not None:
             self._check_integral(request.request_id, held, share)
             self._check_occupancy(request.request_id)
 
@@ -305,8 +296,8 @@ class BudgetTracker:
                 f"request {request.request_id} released without a reservation"
             ) from None
         self.reserved_bytes -= need
-        if self.sanitize:
-            request.kv_holder = None
+        if self.sanitizer is not None:
+            self.sanitizer.release_kv(request.request_id)
             self._check_integral(request.request_id, need)
             self._check_occupancy(request.request_id)
 

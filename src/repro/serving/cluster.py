@@ -117,7 +117,9 @@ def as_request_queue(
     Every element is type-checked (mixed queues raise with the offending
     index).  Caller-built :class:`ServingRequest` queues must be fresh --
     a request that was already admitted, finished, shed or folded would
-    make the drain report garbage -- and are stamped in place.  Bare
+    make the drain report garbage -- and carry distinct request ids, the
+    key of every KV ledger and report side table; they are stamped in
+    place.  Bare
     :class:`RequestClass` shapes become an id-ordered
     :class:`~repro.serving.request.LazyRequests` held as two columns,
     classes and arrival times (zero without ``arrivals``); its
@@ -143,6 +145,7 @@ def as_request_queue(
         times = [0.0] * n if arrivals is None else arrivals.checked_times(n)
         return LazyRequests.from_columns(range(n), list(requests), times)
     queue: list[ServingRequest] = list(requests)  # type: ignore[arg-type]
+    first_index: dict[int, int] = {}
     for index, request in enumerate(queue):
         state = _lifecycle_state(request)
         if state is not None:
@@ -150,6 +153,12 @@ def as_request_queue(
                 f"stale request queue: element {index} is already {state}, "
                 "expected a fresh request (a drained queue cannot be drained "
                 "again; build a new one)"
+            )
+        earlier = first_index.setdefault(request.request_id, index)
+        if earlier != index:
+            raise SchedulingError(
+                f"duplicate request id {request.request_id} at elements "
+                f"{earlier} and {index}; request ids must be unique"
             )
     if arrivals is not None:
         arrivals.assign(queue)
@@ -166,7 +175,7 @@ def _lifecycle_state(request: ServingRequest) -> str | None:
         return "admitted"
     if request.weight != 1:
         return f"weighted (weight {request.weight})"
-    if request.folded or request.folded_into is not None:
+    if request.folded:
         return "folded"
     return None
 
@@ -745,11 +754,19 @@ class ClusterScheduler:
         )
         sim.run(sim.all_of(processes))
 
-        # Each slice position's outcome is the representative it ended up in.
-        group_units = [
-            [piece.folded_into or piece for piece in pieces[group.representative]]
-            for group in plan
-        ]
+        # Each slice position's outcome is the representative it ended up
+        # in: itself, or the piece whose ``folded`` list holds it.
+        group_units = []
+        for group in plan:
+            rep_pieces = pieces[group.representative]
+            carrier = {
+                member.request_id: piece
+                for piece in rep_pieces
+                for member in piece.folded
+            }
+            group_units.append(
+                [carrier.get(piece.request_id, piece) for piece in rep_pieces]
+            )
         folding = _fold_table(plan, group_units, len(request_ids))
         breakdowns: dict[int, NodeBreakdown] = {}
         for group, units in zip(plan, group_units):

@@ -165,14 +165,14 @@ class NodeEngine:
                 stack=node.kv_tiers,
                 model=node.system.model,
                 policy=node.kv_policy,
-                sanitize=sim.sanitizer is not None,
+                sanitizer=sim.sanitizer,
                 owner=node.name,
             )
         else:
             self.tracker = BudgetTracker(
                 budget=node.budget,
                 model=node.system.model,
-                sanitize=sim.sanitizer is not None,
+                sanitizer=sim.sanitizer,
                 owner=node.name,
             )
         #: Whether this node tracks a KV tier stack.  Declared once so the

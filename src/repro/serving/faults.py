@@ -503,7 +503,6 @@ class FaultDriver:
     def _shed(self, request: ServingRequest, reason: str, attempts: int) -> None:
         """Reject ``request`` as a structured outcome (never a silent drop)."""
         request.shed_time = self.sim.now
-        request.shed_reason = reason
         engine = self._charge_node()
         engine.shed_requests += 1
         engine.shed_retry_attempts += request.retry_attempts

@@ -71,7 +71,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from repro.analysis.sanitizer import SanitizerError
+from repro.analysis.sanitizer import SanitizerError, SimSanitizer
 from repro.errors import ConfigurationError, SchedulingError
 from repro.serving.budget import BudgetTracker, CapacityBudget
 from repro.serving.metrics import TierReport
@@ -386,8 +386,8 @@ class TieredBudgetTracker(BudgetTracker):
 
     * a per-tier :class:`TierLedger` (occupancy, peaks, movement and
       decode-read counters),
-    * a per-request residency map (tier name -> bytes; mirrored onto
-      :attr:`~repro.serving.request.ServingRequest.kv_residency`), and
+    * a per-request residency map (tier name -> bytes; read it with
+      :meth:`residency`), and
     * an accumulator of pending transfer seconds the engine bills as one
       simulated timeout per scheduling point
       (:meth:`consume_transfer_seconds`).
@@ -422,14 +422,14 @@ class TieredBudgetTracker(BudgetTracker):
         stack: TierStack,
         model,
         policy: TierPolicy | None = None,
-        sanitize: bool = False,
+        sanitizer: SimSanitizer | None = None,
         owner: str = "",
     ) -> "TieredBudgetTracker":
         """Build a tracker whose flat budget is the stack's total capacity."""
         return cls(
             budget=stack.capacity_budget(owner),
             model=model,
-            sanitize=sanitize,
+            sanitizer=sanitizer,
             owner=owner,
             stack=stack,
             policy=policy,
@@ -453,7 +453,7 @@ class TieredBudgetTracker(BudgetTracker):
         """
         held = self._held
         token_bytes = self.token_bytes
-        sanitize = self.sanitize
+        sanitize = self.sanitizer is not None
         tiers = self.stack.tiers
         top = tiers[0]
         top_ledger = self._ledgers[top.name]
@@ -504,14 +504,13 @@ class TieredBudgetTracker(BudgetTracker):
         super().release(request)
         residency = self._residency.pop(request.request_id, None)
         self._requests.pop(request.request_id, None)
-        request.kv_residency = None
         if residency:
             # Every tier the request touched drains here -- including on the
             # node-death migration path, which releases through this method
             # before the dispatcher re-routes the request elsewhere.
             for name, held in residency.items():
                 self._ledgers[name].occupied_bytes -= held
-        if self.sanitize:
+        if self.sanitizer is not None:
             self._check_tier_occupancy(request.request_id)
 
     def release_share(self, request: ServingRequest, members: int = 1) -> None:
@@ -548,7 +547,6 @@ class TieredBudgetTracker(BudgetTracker):
         """Place a fresh admission's bytes (bookkeeping only, unbilled)."""
         request_id = request.request_id
         self._residency[request_id] = {}
-        request.kv_residency = self._residency[request_id]
         tiers = self.stack.tiers
         if len(tiers) == 1:
             self._occupy_tier(tiers[0].name, request_id, need)
@@ -562,7 +560,7 @@ class TieredBudgetTracker(BudgetTracker):
         if placed > 0.0:
             self._occupy_tier(top.name, request_id, placed)
         self._push_into_lower(request_id, need - placed, billed=False)
-        if self.sanitize:
+        if self.sanitizer is not None:
             self._check_residency(request)
             self._check_tier_occupancy(request_id)
 
@@ -648,7 +646,7 @@ class TieredBudgetTracker(BudgetTracker):
                 self._vacate_tier(top.name, victim.request_id, give)
                 self._push_into_lower(victim.request_id, give, billed=True)
                 deficit -= give
-                if self.sanitize:
+                if self.sanitizer is not None:
                     self._check_residency(victim)
 
     def _lower_free_bytes(self) -> float:
@@ -689,7 +687,7 @@ class TieredBudgetTracker(BudgetTracker):
                 self._pending_transfer_seconds += (
                     take / tier.bandwidth_bytes_per_s
                 )
-            if self.sanitize:
+            if self.sanitizer is not None:
                 self._check_residency(request)
 
     def consume_transfer_seconds(self) -> float:
@@ -745,6 +743,13 @@ class TieredBudgetTracker(BudgetTracker):
         return total_extra
 
     # --- router / reporting views -----------------------------------------------
+
+    def residency(self, request: ServingRequest) -> dict[str, float] | None:
+        """The request's live residency map (tier name -> bytes).
+
+        ``None`` while the request holds no reservation here.
+        """
+        return self._residency.get(request.request_id)
 
     def top_headroom_for_routing(self, queued: list[ServingRequest]) -> float:
         """Top-tier bytes left once queued commitments take their hot share.

@@ -45,7 +45,8 @@ someone reads the request list.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Iterable, Sequence
+from operator import attrgetter
+from typing import ClassVar, Iterable, Sequence
 
 from repro.errors import SchedulingError
 from repro.models.config import ModelConfig
@@ -85,31 +86,17 @@ class ServingRequest:
     #: Context tokens whose KV died with a node and had to be recomputed on
     #: the destination -- the migration share of ``wasted_prefill_tokens``.
     migrated_recompute_tokens: int = 0
-    #: Sanitizer-only provenance: name of the node whose KV ledger currently
-    #: holds this request's bytes (``None`` when unadmitted or released).
-    #: Maintained only on sanitized drains, where it catches a migrated
-    #: request re-admitted before the dead node released its bytes.
-    kv_holder: str | None = None
     #: Admission-control re-deliveries under ``action="retry"`` overload
     #: (see :mod:`repro.serving.overload`); distinct from
     #: :attr:`migration_count`, which counts node-death re-routing.
     retry_attempts: int = 0
-    #: Live per-tier KV residency (tier name -> bytes) while admitted to a
-    #: tiered node -- the same dict the node's
-    #: :class:`~repro.serving.kvtiers.TieredBudgetTracker` maintains, so
-    #: reads are zero-copy; ``None`` on flat nodes and whenever the
-    #: request holds no reservation.  Excluded from equality/repr: it is
-    #: transient tracker state, not an outcome.
-    kv_residency: dict | None = field(default=None, repr=False, compare=False)
     #: Extra decode seconds this request paid re-reading its spilled KV at
     #: the near-storage rate (tiered nodes with bytes below the top tier;
     #: counted at the nominal rate, before slowdown-fault scaling).
     spilled_decode_seconds: float = 0.0
-    #: When admission control shed this request (``None`` if never shed).
+    #: When admission control shed this request (``None`` if never shed);
+    #: the fleet report's ``sheds`` record says why.
     shed_time: float | None = None
-    #: Which bound shed it: ``"queue-bound"``, ``"token-rate"``,
-    #: ``"retry-exhausted"``, or ``"park-deadline"``.
-    shed_reason: str | None = None
     #: Member multiplicity of a folded representative: this request stands
     #: for ``weight`` identical requests (itself plus :attr:`folded`).
     #: Always 1 outside the representative fleet drain.
@@ -117,13 +104,11 @@ class ServingRequest:
     #: The other members this representative stands for, in ascending
     #: request-id order (``len(folded) == weight - 1``).
     folded: list["ServingRequest"] = field(default_factory=list, repr=False)
-    #: Back-pointer from a folded member to the representative currently
-    #: carrying its state (``None`` for representatives and plain
-    #: requests).  Excluded from equality/repr: it closes a cycle with
-    #: :attr:`folded`.
-    folded_into: "ServingRequest | None" = field(
-        default=None, repr=False, compare=False
-    )
+
+    #: Dynamic per-request state a representative carries for its members:
+    #: every field between ``arrival_time`` and ``weight``, in order (set
+    #: below the class).
+    OUTCOME_FIELDS: ClassVar[tuple[str, ...]]
 
     @property
     def input_tokens(self) -> int:
@@ -221,27 +206,6 @@ class ServingRequest:
 
     # --- folding (representative fleet drains only) -----------------------------
 
-    #: Dynamic per-request state a representative carries for its members.
-    #: ``kv_holder`` travels too: members share the representative's ledger
-    #: entry, and a split clears it on the piece whose bytes were released.
-    OUTCOME_FIELDS = (
-        "admitted_time",
-        "last_admitted_time",
-        "first_token_time",
-        "completion_time",
-        "tokens_generated",
-        "prefill_tokens_done",
-        "preemption_count",
-        "wasted_prefill_tokens",
-        "migration_count",
-        "migrated_recompute_tokens",
-        "kv_holder",
-        "retry_attempts",
-        "shed_time",
-        "shed_reason",
-        "spilled_decode_seconds",
-    )
-
     @property
     def youngest_member_id(self) -> int:
         """Highest member request id -- the preemption-victim tie-break key.
@@ -259,8 +223,6 @@ class ServingRequest:
 
     def absorb(self, members: Sequence["ServingRequest"]) -> None:
         """Fold ``members`` (identical, ascending-id) into this request."""
-        for member in members:
-            member.folded_into = self
         self.folded.extend(members)
         self.weight = 1 + len(self.folded)
 
@@ -282,7 +244,6 @@ class ServingRequest:
         self.folded = self.folded[: admitted - 1]
         self.weight = admitted
         remainder = moved[0]
-        remainder.folded_into = None
         remainder.copy_outcome_from(self)
         remainder.absorb(moved[1:])
         return remainder
@@ -302,20 +263,9 @@ class ServingRequest:
             )
         evicted = self.folded.pop()
         self.weight -= 1
-        evicted.folded_into = None
         evicted.copy_outcome_from(self)
-        evicted.kv_holder = None  # its KV share is being released
         evicted.weight = 1
         return evicted
-
-    def unfold(self) -> None:
-        """Copy this representative's outcome onto every folded member."""
-        for member in self.folded:
-            member.copy_outcome_from(self)
-            member.folded_into = None
-            member.weight = 1
-        self.folded = []
-        self.weight = 1
 
     def kv_reservation_bytes(self, model: ModelConfig) -> float:
         """KV bytes this request occupies at its *final* context length.
@@ -346,6 +296,13 @@ class ServingRequest:
         return float(model.kv_cache_bytes(1, self.context_tokens + 1))
 
 
+_names = [f.name for f in fields(ServingRequest)]
+ServingRequest.OUTCOME_FIELDS = tuple(
+    _names[_names.index("arrival_time") + 1 : _names.index("weight")]
+)
+del _names
+
+
 def total_weight(requests: Iterable[ServingRequest]) -> int:
     """Member count a set of (possibly folded) requests stands for."""
     return sum(request.weight for request in requests)
@@ -358,9 +315,9 @@ def fold_identical_runs(requests: Sequence[ServingRequest]) -> list[ServingReque
     carry no prior folding or lifecycle state, and sit *adjacent* in the
     given (FCFS) order -- adjacency preserves head-of-line semantics, so
     the folded queue admits in exactly the unfolded order.  Returns the
-    representative sequence (each run's lowest-id member carries the run);
-    the input list is not mutated, but the member requests are linked to
-    their representatives in place.
+    representative sequence (each run's lowest-id member carries the run,
+    its other members in its :attr:`~ServingRequest.folded` list); the
+    input list is not mutated.
     """
     representatives: list[ServingRequest] = []
     run: list[ServingRequest] = []
@@ -377,7 +334,6 @@ def fold_identical_runs(requests: Sequence[ServingRequest]) -> list[ServingReque
         foldable = (
             request.weight == 1
             and not request.folded
-            and request.folded_into is None
             and not request.admitted
             and not request.finished
         )
@@ -422,27 +378,6 @@ def make_request_queue(
         )
         for i, cls in enumerate(classes)
     ]
-
-
-#: Constructor parameters between ``arrival_time`` and ``weight``, in order:
-#: the lifecycle state a lazily built member takes from its unit.
-_FIELD_NAMES = [f.name for f in fields(ServingRequest)]
-_STATE_PARAMS = tuple(
-    _FIELD_NAMES[_FIELD_NAMES.index("arrival_time") + 1 : _FIELD_NAMES.index("weight")]
-)
-
-
-def _member_state(unit: ServingRequest) -> tuple:
-    """Positional state arguments of a plain member carrying ``unit``'s outcome.
-
-    Outcome fields come from ``unit``; transient tracker state
-    (``kv_residency``) starts empty, as on a fresh request that
-    :meth:`ServingRequest.copy_outcome_from` filled.
-    """
-    return tuple(
-        getattr(unit, name) if name in ServingRequest.OUTCOME_FIELDS else None
-        for name in _STATE_PARAMS
-    )
 
 
 @dataclass(frozen=True)
@@ -535,7 +470,8 @@ class LazyRequests(list):
         if self.folding is None:
             members = map(ServingRequest, request_ids, classes, arrival_times)
         else:
-            states = [_member_state(unit) for unit in self.folding.outcomes]
+            outcome = attrgetter(*ServingRequest.OUTCOME_FIELDS)
+            states = list(map(outcome, self.folding.outcomes))
             members = (
                 ServingRequest(request_id, cls, time, *states[unit])
                 for request_id, cls, time, unit in zip(

@@ -7,7 +7,7 @@ import heapq
 
 import pytest
 
-from repro.analysis.sanitizer import SANITIZE_ENV, SanitizerError
+from repro.analysis.sanitizer import SANITIZE_ENV, SanitizerError, SimSanitizer
 from repro.errors import SchedulingError, SimulationError
 from repro.serving import CapacityBudget, ContinuousBatching, Node
 from repro.serving.budget import BudgetTracker
@@ -25,7 +25,9 @@ def make_request(request_id: int = 0) -> ServingRequest:
 
 def make_tracker(tiny_mha, sanitize: bool = True) -> BudgetTracker:
     return BudgetTracker(
-        budget=CapacityBudget(1e9, "toy budget"), model=tiny_mha, sanitize=sanitize
+        budget=CapacityBudget(1e9, "toy budget"),
+        model=tiny_mha,
+        sanitizer=SimSanitizer() if sanitize else None,
     )
 
 
@@ -224,20 +226,21 @@ class TestBudgetTrackerErrorPaths:
 
 class TestMigrationKvRelease:
     """A migrated request's KV must be fully released on the node it left
-    before any other node admits it -- caught via the ``kv_holder``
-    provenance stamp the sanitized trackers maintain."""
+    before any other node admits it -- caught via the KV holder table
+    that sanitized trackers sharing one :class:`SimSanitizer` maintain."""
 
-    def make_owned_tracker(self, tiny_mha, owner: str, sanitize: bool = True):
+    def make_owned_tracker(self, tiny_mha, owner: str, sanitizer):
         return BudgetTracker(
             budget=CapacityBudget(1e9, "toy budget"),
             model=tiny_mha,
-            sanitize=sanitize,
+            sanitizer=sanitizer,
             owner=owner,
         )
 
     def test_readmission_without_release_fires(self, tiny_mha):
-        dead = self.make_owned_tracker(tiny_mha, "node0")
-        alive = self.make_owned_tracker(tiny_mha, "node1")
+        sanitizer = SimSanitizer()
+        dead = self.make_owned_tracker(tiny_mha, "node0", sanitizer)
+        alive = self.make_owned_tracker(tiny_mha, "node1", sanitizer)
         request = make_request(5)
         dead.occupy(request)
         # Simulated bug: node0 dies but forgets to release the KV before
@@ -248,8 +251,9 @@ class TestMigrationKvRelease:
         assert excinfo.value.request_id == 5
 
     def test_release_then_readmit_is_clean(self, tiny_mha):
-        dead = self.make_owned_tracker(tiny_mha, "node0")
-        alive = self.make_owned_tracker(tiny_mha, "node1")
+        sanitizer = SimSanitizer()
+        dead = self.make_owned_tracker(tiny_mha, "node0", sanitizer)
+        alive = self.make_owned_tracker(tiny_mha, "node1", sanitizer)
         request = make_request(5)
         dead.occupy(request)
         dead.release(request)
@@ -258,12 +262,12 @@ class TestMigrationKvRelease:
         alive.assert_drained()
 
     def test_unsanitized_trackers_skip_provenance(self, tiny_mha):
-        dead = self.make_owned_tracker(tiny_mha, "node0", sanitize=False)
-        alive = self.make_owned_tracker(tiny_mha, "node1", sanitize=False)
+        dead = self.make_owned_tracker(tiny_mha, "node0", None)
+        alive = self.make_owned_tracker(tiny_mha, "node1", None)
         request = make_request(5)
         dead.occupy(request)
         alive.occupy(request)  # unchecked: legacy behaviour preserved
-        assert request.kv_holder is None
+        assert alive.reserved_bytes == dead.reserved_bytes > 0
 
 
 class TestReportConservation:

@@ -22,6 +22,15 @@ justify the diff in the change log; the command lists every cell whose
 fingerprint moved before it rewrites the files::
 
     PYTHONPATH=src python -m tests.serving.golden
+
+Removing a field from a report dataclass (``ServingReport``,
+``NodeBreakdown``, ``ServingRequest``, ...) moves every pin, even when no
+simulated value changes: the hashed JSON carries the field names too.
+Justify such a re-pin against the parent commit: drain every cell with
+the parent's code, delete the removed keys from every affected dict of
+``dataclasses.asdict(report)`` before :func:`canonical`, hash the result
+as :func:`fingerprint` does, and show that each of those parent
+fingerprints equals the new pin of its cell.
 """
 
 from __future__ import annotations

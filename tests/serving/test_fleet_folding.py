@@ -27,7 +27,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.sanitizer import SanitizerError
+from repro.analysis.sanitizer import SanitizerError, SimSanitizer
 from repro.core.config import HilosConfig
 from repro.core.runtime import HilosSystem
 from repro.errors import ConfigurationError, SchedulingError
@@ -52,6 +52,7 @@ from repro.serving import (
     weighted_percentile,
 )
 from repro.serving.autoscale import parse_autoscale_spec
+from repro.serving.budget import BudgetTracker
 from repro.serving.cluster import (
     FLEET_SYMMETRY_MODES,
     as_request_queue,
@@ -147,7 +148,7 @@ def assert_folded_matches_full(full, rep):
     fb = sorted(rep.requests, key=lambda r: r.request_id)
     assert [r.request_id for r in fa] == [r.request_id for r in fb]
     for x, y in zip(fa, fb):
-        assert y.weight == 1 and not y.folded and y.folded_into is None
+        assert y.weight == 1 and not y.folded
         for name in REQUEST_FIELDS:
             assert_rel_close(
                 getattr(x, name), getattr(y, name), f"request {x.request_id}.{name}"
@@ -508,7 +509,7 @@ class TestWeightedRequests:
             (2, 1),
             (3, 1),
         ]
-        assert queue[1].folded_into is queue[0]
+        assert folded[0].folded == [queue[1]]
         assert total_weight(folded) == 4
 
     def test_fold_respects_arrival_time_boundaries(self):
@@ -531,8 +532,7 @@ class TestWeightedRequests:
         assert remainder.request_id == 2
         assert remainder.weight == 3
         assert [m.request_id for m in remainder.folded] == [3, 4]
-        assert remainder.folded_into is None
-        assert queue[3].folded_into is remainder
+        assert remainder.folded[0] is queue[3]
 
     def test_split_waiting_bounds(self):
         rep = fold_identical_runs(self._queue([SHORT] * 3))[0]
@@ -541,29 +541,38 @@ class TestWeightedRequests:
         with pytest.raises(SchedulingError):
             rep.split_waiting(3)
 
-    def test_split_youngest_sheds_the_highest_id(self):
+    def test_split_youngest_sheds_the_highest_id(self, tiny_mha):
+        sanitizer = SimSanitizer()
+        home, other = (
+            BudgetTracker(
+                budget=CapacityBudget(1e12, name),
+                model=tiny_mha,
+                sanitizer=sanitizer,
+                owner=name,
+            )
+            for name in ("node0", "node1")
+        )
         rep = fold_identical_runs(self._queue([SHORT] * 3))[0]
+        home.occupy(rep)
         rep.admitted_time = 1.0
         rep.prefill_tokens_done = 64
-        rep.kv_holder = "node0"
         evicted = rep.split_youngest()
+        home.release_share(rep)
         assert evicted.request_id == 2
         assert evicted.weight == 1
         assert evicted.prefill_tokens_done == 64
-        assert evicted.kv_holder is None  # its KV share was released
         assert rep.weight == 2
-
-    def test_unfold_copies_outcomes_to_members(self):
-        queue = self._queue([SHORT] * 3)
-        rep = fold_identical_runs(queue)[0]
-        rep.admitted_time = 1.0
-        rep.completion_time = 9.0
-        rep.tokens_generated = SHORT.output_tokens
-        rep.unfold()
-        assert all(r.weight == 1 for r in queue)
-        assert all(r.completion_time == 9.0 for r in queue)
-        assert all(r.folded_into is None for r in queue)
-        assert rep.folded == []
+        # The split-off member never held a ledger entry of its own, so it
+        # re-admits cleanly elsewhere; the representative still holds its
+        # bytes on node0.
+        other.occupy(evicted)
+        with pytest.raises(SanitizerError, match="node0") as excinfo:
+            other.occupy(rep)
+        assert excinfo.value.invariant == "migration-kv-release"
+        other.release(evicted)
+        home.release(rep)
+        home.assert_drained()
+        other.assert_drained()
 
 
 class TestWeightedRoundRobinFolding:
@@ -819,4 +828,14 @@ class TestStaleQueues:
         mutate(queue[2])
         mutate(queue[3])
         with pytest.raises(SchedulingError, match=f"element 2 is already {state}"):
+            as_request_queue(queue)
+
+    def test_duplicate_request_ids_are_refused(self):
+        """Ledgers, the sanitizer's KV holder table, shed records and fold
+        tables are all keyed by request id, so ids must be unique."""
+        queue = make_request_queue([SHORT] * 4)
+        queue[3].request_id = 1
+        with pytest.raises(
+            SchedulingError, match="duplicate request id 1 at elements 1 and 3"
+        ):
             as_request_queue(queue)

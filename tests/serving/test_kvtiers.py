@@ -17,7 +17,7 @@ import random
 
 import pytest
 
-from repro.analysis.sanitizer import SanitizerError
+from repro.analysis.sanitizer import SanitizerError, SimSanitizer
 from repro.core.config import HilosConfig
 from repro.core.runtime import HilosSystem
 from repro.errors import ConfigurationError, SchedulingError
@@ -75,7 +75,7 @@ def two_tier_stack(top_bytes, lower_bytes, bandwidth=1e9) -> TierStack:
 
 def tracker_for(model, stack, policy=None) -> TieredBudgetTracker:
     return TieredBudgetTracker.for_stack(
-        stack, model, policy=policy, sanitize=True, owner="node0"
+        stack, model, policy=policy, sanitizer=SimSanitizer(), owner="node0"
     )
 
 
@@ -244,8 +244,8 @@ class TestPlacement:
         )
         (request,) = make_request_queue([SHORT])
         admit(tracker, request, at=0.0)
-        assert request.kv_residency["hbm"] == pytest.approx(0.75 * final)
-        assert request.kv_residency["ssd"] == pytest.approx(0.25 * final)
+        assert tracker.residency(request)["hbm"] == pytest.approx(0.75 * final)
+        assert tracker.residency(request)["ssd"] == pytest.approx(0.25 * final)
         # Initial placement is bookkeeping, not billed movement.
         assert tracker.consume_transfer_seconds() == 0.0
 
@@ -258,7 +258,7 @@ class TestPlacement:
         )
         (request,) = make_request_queue([SHORT])
         admit(tracker, request, at=0.0)
-        assert request.kv_residency == {"hbm": pytest.approx(final)}
+        assert tracker.residency(request) == {"hbm": pytest.approx(final)}
 
     def test_overflow_past_the_top_cascades_unbilled(self, tiny_mha):
         final = short_final(tiny_mha)
@@ -271,10 +271,10 @@ class TestPlacement:
         # first demoted to make way, second takes the whole top; what still
         # does not fit cascades below.
         total_top = sum(
-            r.kv_residency.get("hbm", 0.0) for r in (first, second)
+            tracker.residency(r).get("hbm", 0.0) for r in (first, second)
         )
         total_ssd = sum(
-            r.kv_residency.get("ssd", 0.0) for r in (first, second)
+            tracker.residency(r).get("ssd", 0.0) for r in (first, second)
         )
         assert total_top == pytest.approx(1.5 * final)
         assert total_ssd == pytest.approx(0.5 * final)
@@ -295,9 +295,9 @@ class TestVictimOrdering:
         admit(tracker, incoming, at=2.0)
         # The coldest request yields its entire top residency; the newer
         # one is untouched.
-        assert oldest.kv_residency == {"ssd": pytest.approx(final)}
-        assert newer.kv_residency == {"hbm": pytest.approx(final)}
-        assert incoming.kv_residency == {"hbm": pytest.approx(final)}
+        assert tracker.residency(oldest) == {"ssd": pytest.approx(final)}
+        assert tracker.residency(newer) == {"hbm": pytest.approx(final)}
+        assert tracker.residency(incoming) == {"hbm": pytest.approx(final)}
         # Demotion is billed movement: bytes crossed at the ssd bandwidth.
         assert tracker.consume_transfer_seconds() == pytest.approx(final / 1e9)
 
@@ -315,9 +315,9 @@ class TestVictimOrdering:
         # One pass takes 75% of the oldest victim, then 75% of the next is
         # capped by the remaining deficit -- both keep KV top-resident,
         # unlike LRU's whole-request eviction.
-        assert oldest.kv_residency["hbm"] == pytest.approx(0.25 * final)
-        assert newer.kv_residency["hbm"] == pytest.approx(0.75 * final)
-        assert incoming.kv_residency["hbm"] == pytest.approx(final)
+        assert tracker.residency(oldest)["hbm"] == pytest.approx(0.25 * final)
+        assert tracker.residency(newer)["hbm"] == pytest.approx(0.75 * final)
+        assert tracker.residency(incoming)["hbm"] == pytest.approx(final)
 
     def test_attention_second_pass_takes_hot_sets_under_pressure(self, tiny_mha):
         final = short_final(tiny_mha)
@@ -330,8 +330,8 @@ class TestVictimOrdering:
         admit(tracker, victim, at=0.0)
         admit(tracker, incoming, at=1.0)
         # Capacity beats locality: the hot share demotes too.
-        assert victim.kv_residency == {"ssd": pytest.approx(final)}
-        assert incoming.kv_residency == {"hbm": pytest.approx(final)}
+        assert tracker.residency(victim) == {"ssd": pytest.approx(final)}
+        assert tracker.residency(incoming) == {"hbm": pytest.approx(final)}
 
     def test_victim_ties_break_by_request_id(self, tiny_mha):
         final = short_final(tiny_mha)
@@ -342,8 +342,8 @@ class TestVictimOrdering:
         admit(tracker, first, at=5.0)
         admit(tracker, second, at=5.0)
         admit(tracker, incoming, at=6.0)
-        assert first.kv_residency == {"ssd": pytest.approx(final)}
-        assert second.kv_residency == {"hbm": pytest.approx(final)}
+        assert tracker.residency(first) == {"ssd": pytest.approx(final)}
+        assert tracker.residency(second) == {"hbm": pytest.approx(final)}
 
 
 class TestPromotion:
@@ -355,11 +355,11 @@ class TestPromotion:
         spilled, blocker = make_request_queue([SHORT, SHORT])
         admit(tracker, spilled, at=0.0)
         admit(tracker, blocker, at=1.0)
-        assert spilled.kv_residency == {"ssd": pytest.approx(final)}
+        assert tracker.residency(spilled) == {"ssd": pytest.approx(final)}
         tracker.consume_transfer_seconds()  # drop the demotion bill
         tracker.release(blocker)
         tracker.promote_for_decode([spilled])
-        assert spilled.kv_residency == {"hbm": pytest.approx(final)}
+        assert tracker.residency(spilled) == {"hbm": pytest.approx(final)}
         # Promotion bills the source (ssd) tier's bandwidth.
         assert tracker.consume_transfer_seconds() == pytest.approx(final / 1e9)
         reports = {report.tier: report for report in tracker.tier_reports()}
@@ -374,7 +374,7 @@ class TestPromotion:
         (request,) = make_request_queue([SHORT])
         admit(tracker, request, at=0.0)
         tracker.promote_for_decode([request])
-        assert request.kv_residency["ssd"] == pytest.approx(0.5 * final)
+        assert tracker.residency(request)["ssd"] == pytest.approx(0.5 * final)
         assert tracker.consume_transfer_seconds() == 0.0
 
 
@@ -425,9 +425,9 @@ class TestTierConservation:
         )
         (request,) = make_request_queue([SHORT])
         admit(tracker, request, at=0.0)
-        assert set(request.kv_residency) == {"hbm", "ssd"}
+        assert set(tracker.residency(request)) == {"hbm", "ssd"}
         tracker.release(request)
-        assert request.kv_residency is None
+        assert tracker.residency(request) is None
         tracker.assert_drained("unit release")
 
     def test_migration_release_path_drains_all_tiers(self, tiny_mha):
@@ -440,7 +440,7 @@ class TestTierConservation:
         spilled, resident = make_request_queue([SHORT, SHORT])
         admit(tracker, spilled, at=0.0)
         admit(tracker, resident, at=1.0)
-        assert spilled.kv_residency == {"ssd": pytest.approx(final)}
+        assert tracker.residency(spilled) == {"ssd": pytest.approx(final)}
         tracker.release(spilled)
         tracker.release(resident)
         tracker.assert_drained("migration release")
@@ -476,7 +476,7 @@ class TestTierConservation:
         )
         (request,) = make_request_queue([SHORT])
         admit(tracker, request, at=0.0)
-        request.kv_residency["hbm"] *= 0.5
+        tracker.residency(request)["hbm"] *= 0.5
         with pytest.raises(SanitizerError, match="tier-conservation"):
             tracker._check_residency(request)
 
@@ -520,7 +520,7 @@ class TestBatchReMark:
             return BudgetTracker(
                 budget=CapacityBudget(4 * self.LIVE * room, "folded flat"),
                 model=model,
-                sanitize=True,
+                sanitizer=SimSanitizer(),
             )
         policy = LRUByRequest() if kind == "lru" else AttentionAwareDemotion(0.3)
         # A small top tier: admissions demote and decode growth cascades.
