@@ -14,10 +14,12 @@ One decode step per layer (Figure 4a, augmented with Sections 4.2/4.3):
    c. the CPU precomputes next-step partial scores and the new KV entries
       are staged into the host writeback buffer;
 5. attention outputs return to the host; the GPU runs the MLP;
-6. every ``c`` steps a background process spills the staged entries to
-   flash in page-aligned runs (off the critical path); with delayed
-   writeback disabled the per-head sub-page write sits *on* the critical
-   path, reproducing Figure 6a's naive behaviour.
+6. every ``c`` steps the staged entries spill to flash in page-aligned
+   runs, off the critical path: its synchronisation cost is the amortised
+   per-layer overhead of :class:`~repro.core.writeback.WritebackPlan`, and
+   its flash bytes are reported ``1/c`` per step; with delayed writeback
+   disabled the per-head sub-page write sits *on* the critical path,
+   reproducing Figure 6a's naive behaviour.
 
 The KV cache is partitioned across devices over the batch x head grid
 (Section 4.1), so per-device traffic is the even share the topology's
@@ -37,7 +39,7 @@ from repro.core.xcache import CacheSchedule, select_alpha
 from repro.models.config import ModelConfig
 from repro.sim.channel import Channel
 from repro.sim.engine import Barrier, Event
-from repro.sim.metrics import HOST_COMPUTE, LOAD_KV, LOAD_WEIGHT, STORE_KV
+from repro.sim.metrics import HOST_COMPUTE, LOAD_KV, LOAD_WEIGHT, STORE_KV, StorageCounters
 from repro.sim.topology import HardwareConfig
 
 
@@ -61,7 +63,6 @@ class HilosSystem(InferenceSystem):
         self.per_layer_overhead_s = self.config.per_layer_overhead_s
         self.schedule: CacheSchedule | None = None
         self.writeback: WritebackPlan | None = None
-        self._step_index = 0
         #: Unsimulated topology kept only for its bandwidth constants.
         self._figures_system = None
 
@@ -116,7 +117,6 @@ class HilosSystem(InferenceSystem):
             self.config.effective_spill_interval(),
             nsp_fraction=1.0 - alpha,
         )
-        self._step_index = 0
         # Flash placement: alpha X-cache + (1-alpha) KV + weights if >100B.
         kv_bytes = self.model.kv_cache_bytes(ctx.batch_size, ctx.seq_len)
         x_bytes = self.model.x_cache_bytes(ctx.batch_size, ctx.seq_len)
@@ -277,17 +277,24 @@ class HilosSystem(InferenceSystem):
             )
             ctx.recorder.stop(HOST_COMPUTE, started)
 
-    def _spill_process(self, ctx: StepContext):
-        """Background spill of staged entries (off the critical path)."""
+    def _deferred_writes_per_step(self, ctx: StepContext) -> StorageCounters:
+        """One spill of ``c`` steps' staged entries, amortised per step.
+
+        Priced by the same striping and page rule as the naive path's
+        per-layer writes, so delayed and naive writeback report equal
+        logical bytes and differ only in page round-up.
+        """
         assert self.writeback is not None
         plan = self.writeback
-        per_layer = plan.spill_bytes
-        total = per_layer * self.model.n_layers
-        started = ctx.recorder.start()
-        yield ctx.system.write_nsp_from_host(
-            total, granule=plan.spill_granule_bytes, tag=STORE_KV
+        if plan.spill_interval == 1:
+            return StorageCounters()
+        spill = ctx.system.nsp_write_counters(
+            plan.spill_bytes * self.model.n_layers, granule=plan.spill_granule_bytes
         )
-        ctx.recorder.stop(STORE_KV, started)
+        return StorageCounters(
+            logical_written=spill.logical_written / plan.spill_interval,
+            physical_written=spill.physical_written / plan.spill_interval,
+        )
 
     # --- the decode step ----------------------------------------------------------------------
 
@@ -346,9 +353,6 @@ class HilosSystem(InferenceSystem):
                 yield ctx.sim.timeout(plan.per_layer_overhead_seconds())
                 ctx.recorder.stop(STORE_KV, started)
             yield ctx.sim.timeout(self.per_layer_overhead_s)
-        self._step_index += 1
-        if plan.spill_interval > 1 and self._step_index % plan.spill_interval == 0:
-            ctx.sim.process(self._spill_process(ctx), name="hilos.spill")
 
     # --- prefill -----------------------------------------------------------------------------
 

@@ -135,7 +135,7 @@ class SSD:
         passing the per-entry size models the naive per-token writeback whose
         sub-page writes the delayed-writeback design avoids (Section 4.3).
         """
-        physical = self._physical_bytes(n_bytes, granule)
+        physical = self.physical_bytes(n_bytes, granule)
         self.logical_bytes_written += n_bytes
         self.physical_bytes_written += physical
         return self.write_channel.request(physical, tag)
@@ -144,12 +144,13 @@ class SSD:
         self, n_bytes: float, tag: str, barrier: Barrier, granule: float | None = None
     ) -> None:
         """Like :meth:`write`, reporting completion into ``barrier``."""
-        physical = self._physical_bytes(n_bytes, granule)
+        physical = self.physical_bytes(n_bytes, granule)
         self.logical_bytes_written += n_bytes
         self.physical_bytes_written += physical
         self.write_channel.request_into(physical, tag, barrier)
 
-    def _physical_bytes(self, n_bytes: float, granule: float | None) -> float:
+    def physical_bytes(self, n_bytes: float, granule: float | None = None) -> float:
+        """Flash bytes programmed by writing ``n_bytes`` in ``granule`` ops."""
         page = self.spec.page_bytes
         if n_bytes <= 0:
             return 0.0

@@ -54,7 +54,7 @@ from repro.sim.devices import (
 )
 from repro.sim.engine import Barrier, Event, Simulator
 from repro.sim.flash import PM9A3, SMARTSSD_FLASH, SSD, SmartSSD, SSDSpec
-from repro.sim.metrics import StorageCounters
+from repro.sim.metrics import StorageCounters, mirrored_sum
 from repro.units import GB, GiB, pcie_bandwidth
 
 #: Valid ``symmetry`` arguments to :func:`build_system`.
@@ -414,6 +414,25 @@ class SystemModel:
             dev.host_link.request_into(share, tag, done)
         self._uplink_into(n_bytes, tag, done)
         return done
+
+    def nsp_write_counters(
+        self, n_bytes: float, granule: float | None = None
+    ) -> StorageCounters:
+        """The flash counters :meth:`write_nsp_from_host` would add, unissued.
+
+        Same striping and page rule, so a write priced here and one
+        simulated report equal bytes.
+        """
+        share = n_bytes / self.smartssd_group.size
+        multiplier = self.smartssd_group.multiplier
+        return StorageCounters(
+            logical_written=mirrored_sum(self.smartssds, lambda _dev: share, multiplier),
+            physical_written=mirrored_sum(
+                self.smartssds,
+                lambda dev: dev.flash.physical_bytes(share, granule),
+                multiplier,
+            ),
+        )
 
     def dram_to_gpu(self, n_bytes: float, tag: str = "load_weight") -> Event:
         """Host DRAM -> GPU over the host interconnect (weight prefetch)."""

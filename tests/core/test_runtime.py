@@ -127,6 +127,12 @@ class TestStorageAccounting:
         # The naive path amplifies 256 B entries to 4 KiB pages (16x).
         naive_amp = naive.storage_physical_written / max(naive.storage_logical_written, 1)
         assert naive_amp > 8.0
+        # Delayed writeback spills the same entries, once every c steps, in
+        # page-filling runs: equal logical bytes per step, fewer physical.
+        assert delayed.storage_logical_written == pytest.approx(
+            naive.storage_logical_written, rel=1e-9
+        )
+        assert delayed.storage_physical_written < naive.storage_physical_written
 
     def test_xcache_reduces_flash_reads(self, opt30b):
         """With alpha > 0 the devices read less from flash per step."""
