@@ -12,15 +12,18 @@ Every system (HILOS and the baselines) follows the same measurement recipe:
 4. report tokens/sec as ``effective_batch / step_seconds``.
 
 Subclasses implement :meth:`InferenceSystem._setup` (placement, staging
-channels) and :meth:`InferenceSystem._step_process` (one decode step as a
-simulation process).  Weight prefetching -- common to every framework -- is
-provided here as a concurrent streamer process with per-layer ready events.
+channels) and :meth:`InferenceSystem._layer` (one layer of one decode
+step).  The base class owns the decode step's only layer loop: it drives
+the step's per-layer body and each :class:`LayerProducer` -- weight
+prefetching, common to every framework, plus any the subclass adds -- as
+concurrent processes that share one :class:`LayerCursor`.
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.analysis.capacity import (
     KVPlacement,
@@ -82,6 +85,74 @@ class MeasuredResult:
         )
 
 
+class LayerCursor:
+    """Layer numbering shared by one decode step and its producers.
+
+    Each process counts the layers it has finished; its current layer is
+    that count plus :attr:`skipped`.  Moving :attr:`skipped` therefore
+    moves the step and every producer by the same number of layers at
+    once.
+    """
+
+    __slots__ = ("n_layers", "skipped")
+
+    def __init__(self, n_layers: int) -> None:
+        self.n_layers = n_layers
+        self.skipped = 0
+
+
+class LayerFeed:
+    """One producer's per-layer ready signal to the decode step.
+
+    Replaces a list of ``n_layers`` ready events: the producer counts the
+    layers it has delivered, and the step waits on a layer only while it
+    is not yet delivered.  A delivered layer yields an already-fired
+    event, which resumes the waiting process at once, as a fired ready
+    event did.
+    """
+
+    __slots__ = ("cursor", "produced", "_sim", "_delivered", "_waiting", "_waiter")
+
+    def __init__(self, sim, cursor: LayerCursor, delivered: Event) -> None:
+        self._sim = sim
+        self.cursor = cursor
+        #: Layers delivered so far, counted from the start of the step.
+        self.produced = 0
+        self._delivered = delivered
+        self._waiting = 0
+        self._waiter: Event | None = None
+
+    def wait(self, layer: int) -> Event:
+        """An event that fires once ``layer`` has been delivered."""
+        index = layer - self.cursor.skipped
+        if index < self.produced:
+            return self._delivered
+        self._waiting = index
+        self._waiter = Event(self._sim, name="layer_ready")
+        return self._waiter
+
+    def deliver(self) -> None:
+        """Mark the next layer delivered, waking the step if it waits on it."""
+        self.produced += 1
+        waiter = self._waiter
+        if waiter is not None and self._waiting < self.produced:
+            self._waiter = None
+            waiter.succeed()
+
+
+@dataclass(frozen=True)
+class LayerProducer:
+    """A process that runs ahead of the decode step, one transfer per layer.
+
+    ``transfer(ctx, layer)`` issues one layer's transfer and returns its
+    completion event; the span is recorded under ``phase``.
+    """
+
+    name: str
+    phase: str
+    transfer: Callable[["StepContext", int], Event]
+
+
 @dataclass
 class StepContext:
     """Everything a decode-step process needs, bundled."""
@@ -91,13 +162,17 @@ class StepContext:
     batch_size: int
     seq_len: int
     recorder: PhaseRecorder
-    weight_ready: list[Event] = field(default_factory=list)
-    kv_ready: list[Event] = field(default_factory=list)
+    cursor: LayerCursor | None = None
+    feeds: dict[str, LayerFeed] = field(default_factory=dict)
 
     @property
     def sim(self):
         """The underlying simulator."""
         return self.system.sim
+
+    def ready(self, producer: str, layer: int) -> Event:
+        """The event that fires once ``producer`` has delivered ``layer``."""
+        return self.feeds[producer].wait(layer)
 
 
 class InferenceSystem(abc.ABC):
@@ -148,8 +223,16 @@ class InferenceSystem(abc.ABC):
         """Place data, validate capacity, create framework channels."""
 
     @abc.abstractmethod
-    def _step_process(self, ctx: StepContext):
-        """Generator: one full decode step (all layers)."""
+    def _layer(self, ctx: StepContext, layer: int):
+        """Generator: the decode step's work for one layer.
+
+        Must wait for everything it issues before it returns, so that
+        nothing the step started is still in flight between layers.
+        """
+
+    def _producers(self) -> tuple[LayerProducer, ...]:
+        """The processes that run ahead of the step; weights by default."""
+        return (LayerProducer("weights", LOAD_WEIGHT, self._load_layer_weights),)
 
     # --- weight streaming (shared by every framework) -----------------------------------
 
@@ -176,22 +259,18 @@ class InferenceSystem(abc.ABC):
             ]
         )
 
-    def _weight_streamer(self, ctx: StepContext):
-        """Prefetches each layer's weights in order, firing ready events.
+    def _load_layer_weights(self, ctx: StepContext, layer: int) -> Event:
+        """The Weights Prefetcher's transfer of one layer's weights.
 
-        Runs concurrently with the layer loop, so layer ``i+1``'s weights
-        stream while layer ``i`` computes -- the paper's Weights Prefetcher.
+        Its producer runs ahead of the layer loop, so layer ``i+1``'s
+        weights stream while layer ``i`` computes.
         """
         model = self.model
-        for layer in range(model.n_layers):
-            n_bytes = (
-                model.attention_weight_bytes_per_layer()
-                + model.mlp_weight_bytes_per_layer(layer)
-            )
-            started = ctx.recorder.start()
-            yield self._load_weights_event(ctx, n_bytes)
-            ctx.recorder.stop(LOAD_WEIGHT, started)
-            ctx.weight_ready[layer].succeed()
+        n_bytes = (
+            model.attention_weight_bytes_per_layer()
+            + model.mlp_weight_bytes_per_layer(layer)
+        )
+        return self._load_weights_event(ctx, n_bytes)
 
     def _gpu_projection_and_mlp_flops(self, layer: int, batch: int) -> tuple[float, float]:
         """(QKV, MLP) FLOPs of one decode step of one layer."""
@@ -285,11 +364,34 @@ class InferenceSystem(abc.ABC):
 
     def _run_one_step(self, ctx: StepContext) -> None:
         sim = ctx.system.sim
-        ctx.weight_ready = [sim.event(f"w{i}") for i in range(self.model.n_layers)]
-        ctx.kv_ready = [sim.event(f"kv{i}") for i in range(self.model.n_layers)]
-        sim.process(self._weight_streamer(ctx), name=f"{self.name}.weights")
-        step = sim.process(self._step_process(ctx), name=f"{self.name}.step")
+        ctx.cursor = LayerCursor(self.model.n_layers)
+        delivered = sim.event("layer_delivered").succeed()
+        ctx.feeds = {}
+        for producer in self._producers():
+            feed = LayerFeed(sim, ctx.cursor, delivered)
+            ctx.feeds[producer.name] = feed
+            sim.process(
+                self._produce(ctx, producer, feed), name=f"{self.name}.{producer.name}"
+            )
+        step = sim.process(self._decode_step(ctx), name=f"{self.name}.step")
         sim.run(step)
+
+    def _produce(self, ctx: StepContext, producer: LayerProducer, feed: LayerFeed):
+        """A producer's process: one transfer per layer, ahead of the step."""
+        cursor = ctx.cursor
+        while feed.produced + cursor.skipped < cursor.n_layers:
+            started = ctx.recorder.start()
+            yield producer.transfer(ctx, feed.produced + cursor.skipped)
+            ctx.recorder.stop(producer.phase, started)
+            feed.deliver()
+
+    def _decode_step(self, ctx: StepContext):
+        """The decode step's process: the one per-layer loop of the DES."""
+        cursor = ctx.cursor
+        finished = 0
+        while finished + cursor.skipped < cursor.n_layers:
+            yield from self._layer(ctx, finished + cursor.skipped)
+            finished += 1
 
     def _deferred_writes_per_step(self, ctx: StepContext) -> StorageCounters:
         """Flash writes a step owes but issues less often than once a step.

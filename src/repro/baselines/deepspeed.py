@@ -52,40 +52,39 @@ class DeepSpeedUVM(InferenceSystem):
             for ssd in ctx.system.ssds:
                 ssd.allocate(share)
 
-    def _step_process(self, ctx: StepContext):
+    def _layer(self, ctx: StepContext, layer: int):
         model = self.model
         assert self._uvm is not None
         kv_layer_bytes = float(
             model.kv_bytes_per_token_per_layer() * ctx.batch_size * ctx.seq_len
         )
-        for layer in range(model.n_layers):
-            yield ctx.weight_ready[layer]
-            qkv_flops, mlp_flops = self._gpu_projection_and_mlp_flops(layer, ctx.batch_size)
-            started = ctx.recorder.start()
-            yield self._run_gpu(ctx, qkv_flops, model.attention_weight_bytes_per_layer())
-            ctx.recorder.stop(HOST_COMPUTE, started)
-            # GPU attention faults the layer's KV pages in over UVM; the DRAM
-            # bus is co-occupied by the migration.
-            started = ctx.recorder.start()
-            yield ctx.sim.all_of(
-                [
-                    self._uvm.request(kv_layer_bytes, LOAD_KV),
-                    ctx.system.dram.access(kv_layer_bytes, LOAD_KV),
-                ]
-            )
-            ctx.recorder.stop(LOAD_KV, started)
-            started = ctx.recorder.start()
-            yield self._run_gpu(
-                ctx,
-                model.attention_flops_per_layer(ctx.batch_size, ctx.seq_len),
-                kv_layer_bytes,
-            )
-            ctx.recorder.stop(HOST_COMPUTE, started)
-            started = ctx.recorder.start()
-            yield self._run_gpu(ctx, mlp_flops, model.mlp_weight_bytes_per_layer(layer))
-            ctx.recorder.stop(HOST_COMPUTE, started)
-            new_bytes = model.kv_bytes_per_token_per_layer() * ctx.batch_size
-            started = ctx.recorder.start()
-            yield self._uvm.request(new_bytes, STORE_KV)
-            ctx.recorder.stop(STORE_KV, started)
-            yield ctx.sim.timeout(self.per_layer_overhead_s)
+        yield ctx.ready("weights", layer)
+        qkv_flops, mlp_flops = self._gpu_projection_and_mlp_flops(layer, ctx.batch_size)
+        started = ctx.recorder.start()
+        yield self._run_gpu(ctx, qkv_flops, model.attention_weight_bytes_per_layer())
+        ctx.recorder.stop(HOST_COMPUTE, started)
+        # GPU attention faults the layer's KV pages in over UVM; the DRAM
+        # bus is co-occupied by the migration.
+        started = ctx.recorder.start()
+        yield ctx.sim.all_of(
+            [
+                self._uvm.request(kv_layer_bytes, LOAD_KV),
+                ctx.system.dram.access(kv_layer_bytes, LOAD_KV),
+            ]
+        )
+        ctx.recorder.stop(LOAD_KV, started)
+        started = ctx.recorder.start()
+        yield self._run_gpu(
+            ctx,
+            model.attention_flops_per_layer(ctx.batch_size, ctx.seq_len),
+            kv_layer_bytes,
+        )
+        ctx.recorder.stop(HOST_COMPUTE, started)
+        started = ctx.recorder.start()
+        yield self._run_gpu(ctx, mlp_flops, model.mlp_weight_bytes_per_layer(layer))
+        ctx.recorder.stop(HOST_COMPUTE, started)
+        new_bytes = model.kv_bytes_per_token_per_layer() * ctx.batch_size
+        started = ctx.recorder.start()
+        yield self._uvm.request(new_bytes, STORE_KV)
+        ctx.recorder.stop(STORE_KV, started)
+        yield ctx.sim.timeout(self.per_layer_overhead_s)

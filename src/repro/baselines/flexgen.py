@@ -24,7 +24,7 @@ paper's measured FLEX(SSD) throughputs (see EXPERIMENTS.md).
 from __future__ import annotations
 
 from repro.analysis.capacity import KVPlacement, WeightPlacement, plan_placement
-from repro.baselines.base import InferenceSystem, StepContext
+from repro.baselines.base import InferenceSystem, LayerProducer, StepContext
 from repro.models.config import ModelConfig
 from repro.sim.channel import Channel
 from repro.sim.engine import Event
@@ -42,6 +42,8 @@ class FlexGen(InferenceSystem):
     #: Delivered bandwidth of FlexGen's synchronous chunked disk pipeline.
     staging_bandwidth: float = 6.5 * GB
     per_layer_overhead_s = 0.003
+    #: Whether a producer prefetches each layer's KV from the drives.
+    streams_kv = True
 
     def __init__(self, model: ModelConfig, gpu: str = "A100") -> None:
         super().__init__(model)
@@ -106,15 +108,18 @@ class FlexGen(InferenceSystem):
             self.model.kv_bytes_per_token_per_layer() * ctx.batch_size * ctx.seq_len
         )
 
-    def _kv_streamer(self, ctx: StepContext):
-        """Prefetches each layer's KV cache from storage into host DRAM."""
-        for layer in range(self.model.n_layers):
-            n_bytes = self._kv_layer_bytes(ctx)
-            started = ctx.recorder.start()
-            inner = ctx.system.read_ssds_to_host(n_bytes, tag=LOAD_KV)
-            yield self._staged(ctx, inner, n_bytes, LOAD_KV)
-            ctx.recorder.stop(LOAD_KV, started)
-            ctx.kv_ready[layer].succeed()
+    def _producers(self) -> tuple[LayerProducer, ...]:
+        if not self.streams_kv:
+            return super()._producers()
+        return super()._producers() + (
+            LayerProducer("kv", LOAD_KV, self._load_layer_kv),
+        )
+
+    def _load_layer_kv(self, ctx: StepContext, layer: int) -> Event:
+        """Prefetch one layer's KV cache from storage into host DRAM."""
+        n_bytes = self._kv_layer_bytes(ctx)
+        inner = ctx.system.read_ssds_to_host(n_bytes, tag=LOAD_KV)
+        return self._staged(ctx, inner, n_bytes, LOAD_KV)
 
     def _store_new_kv(self, ctx: StepContext) -> Event:
         """Write the step's new K/V rows back to the drives (Figure 1b, step 7).
@@ -130,35 +135,33 @@ class FlexGen(InferenceSystem):
 
     # --- the decode step ------------------------------------------------------------------------
 
-    def _step_process(self, ctx: StepContext):
+    def _layer(self, ctx: StepContext, layer: int):
         model = self.model
         system = ctx.system
-        ctx.sim.process(self._kv_streamer(ctx), name=f"{self.name}.kv")
-        kv_layer_bytes = self._kv_layer_bytes(ctx)
-        for layer in range(model.n_layers):
-            yield ctx.weight_ready[layer]
-            qkv_flops, mlp_flops = self._gpu_projection_and_mlp_flops(layer, ctx.batch_size)
-            started = ctx.recorder.start()
-            yield self._run_gpu(
-                ctx, qkv_flops, model.attention_weight_bytes_per_layer()
-            )
-            ctx.recorder.stop(HOST_COMPUTE, started)
-            yield ctx.kv_ready[layer]
-            # Baselines offload decode attention to the CPU (Section 6.1).
-            started = ctx.recorder.start()
-            yield system.cpu.run_kernel(
-                model.attention_flops_per_layer(ctx.batch_size, ctx.seq_len),
-                kv_layer_bytes,
-                tag=HOST_COMPUTE,
-            )
-            ctx.recorder.stop(HOST_COMPUTE, started)
-            started = ctx.recorder.start()
-            yield self._run_gpu(ctx, mlp_flops, model.mlp_weight_bytes_per_layer(layer))
-            ctx.recorder.stop(HOST_COMPUTE, started)
-            started = ctx.recorder.start()
-            yield self._store_new_kv(ctx)
-            ctx.recorder.stop(STORE_KV, started)
-            yield ctx.sim.timeout(self.per_layer_overhead_s)
+        yield ctx.ready("weights", layer)
+        qkv_flops, mlp_flops = self._gpu_projection_and_mlp_flops(layer, ctx.batch_size)
+        started = ctx.recorder.start()
+        yield self._run_gpu(
+            ctx, qkv_flops, model.attention_weight_bytes_per_layer()
+        )
+        ctx.recorder.stop(HOST_COMPUTE, started)
+        if self.streams_kv:
+            yield ctx.ready("kv", layer)
+        # Baselines offload decode attention to the CPU (Section 6.1).
+        started = ctx.recorder.start()
+        yield system.cpu.run_kernel(
+            model.attention_flops_per_layer(ctx.batch_size, ctx.seq_len),
+            self._kv_layer_bytes(ctx),
+            tag=HOST_COMPUTE,
+        )
+        ctx.recorder.stop(HOST_COMPUTE, started)
+        started = ctx.recorder.start()
+        yield self._run_gpu(ctx, mlp_flops, model.mlp_weight_bytes_per_layer(layer))
+        ctx.recorder.stop(HOST_COMPUTE, started)
+        started = ctx.recorder.start()
+        yield self._store_new_kv(ctx)
+        ctx.recorder.stop(STORE_KV, started)
+        yield ctx.sim.timeout(self.per_layer_overhead_s)
 
 
 class FlexGenSSD(FlexGen):
@@ -172,13 +175,8 @@ class FlexGenDRAM(FlexGen):
 
     name = "FLEX(DRAM)"
     kv_placement = KVPlacement.DRAM
-
-    def _kv_streamer(self, ctx: StepContext):
-        """KV is already resident: the CPU streams it straight from DRAM."""
-        for layer in range(self.model.n_layers):
-            ctx.kv_ready[layer].succeed()
-            if False:  # pragma: no cover - keeps this a generator
-                yield
+    #: KV is already resident: the CPU streams it straight from DRAM.
+    streams_kv = False
 
     def _store_new_kv(self, ctx: StepContext) -> Event:
         new_bytes = self.model.kv_bytes_per_token_per_layer() * ctx.batch_size

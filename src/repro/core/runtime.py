@@ -298,7 +298,7 @@ class HilosSystem(InferenceSystem):
 
     # --- the decode step ----------------------------------------------------------------------
 
-    def _step_process(self, ctx: StepContext):
+    def _layer(self, ctx: StepContext, layer: int):
         model = self.model
         system = ctx.system
         assert self.writeback is not None
@@ -312,47 +312,46 @@ class HilosSystem(InferenceSystem):
             * model.bytes_per_element
             * ctx.batch_size
         )
-        for layer in range(model.n_layers):
-            yield ctx.weight_ready[layer]
-            qkv_flops, mlp_flops = self._gpu_projection_and_mlp_flops(layer, ctx.batch_size)
+        yield ctx.ready("weights", layer)
+        qkv_flops, mlp_flops = self._gpu_projection_and_mlp_flops(layer, ctx.batch_size)
+        started = ctx.recorder.start()
+        yield self._run_gpu(ctx, qkv_flops, model.attention_weight_bytes_per_layer())
+        ctx.recorder.stop(HOST_COMPUTE, started)
+        # Ship Q (+ partial scores + staged V) to the devices.
+        started = ctx.recorder.start()
+        yield system.host_to_nsp(plan.host_to_device_bytes_per_step, tag=STORE_KV)
+        ctx.recorder.stop(STORE_KV, started)
+        # Attention: NSP shard, X-cache shard, and staging run together.
+        waits = []
+        if nsp_kv_bytes > 0:
+            waits.append(self._nsp_attention(ctx, nsp_kv_bytes))
+        if alpha > 0:
+            waits.append(ctx.sim.process(self._xcache_attention(ctx)))
+        waits.append(ctx.sim.process(self._writeback_staging(ctx)))
+        attention_started = ctx.recorder.start()
+        yield ctx.sim.all_of(waits)
+        ctx.recorder.stop(LOAD_KV, attention_started)
+        # Attention outputs return to the host (2h per element, Eq. 3).
+        yield system.nsp_to_host(out_bytes, tag=LOAD_KV)
+        started = ctx.recorder.start()
+        yield self._run_gpu(ctx, mlp_flops, model.mlp_weight_bytes_per_layer(layer))
+        ctx.recorder.stop(HOST_COMPUTE, started)
+        if plan.spill_interval == 1:
+            # Naive writeback (Figure 6a): per-entry direct-I/O commits
+            # serialized on the host thread, plus the sub-page writes.
             started = ctx.recorder.start()
-            yield self._run_gpu(ctx, qkv_flops, model.attention_weight_bytes_per_layer())
-            ctx.recorder.stop(HOST_COMPUTE, started)
-            # Ship Q (+ partial scores + staged V) to the devices.
-            started = ctx.recorder.start()
-            yield system.host_to_nsp(plan.host_to_device_bytes_per_step, tag=STORE_KV)
+            yield system.write_nsp_from_host(
+                plan.spill_bytes, granule=plan.spill_granule_bytes, tag=STORE_KV
+            )
+            yield ctx.sim.timeout(plan.naive_commit_seconds)
             ctx.recorder.stop(STORE_KV, started)
-            # Attention: NSP shard, X-cache shard, and staging run together.
-            waits = []
-            if nsp_kv_bytes > 0:
-                waits.append(self._nsp_attention(ctx, nsp_kv_bytes))
-            if alpha > 0:
-                waits.append(ctx.sim.process(self._xcache_attention(ctx)))
-            waits.append(ctx.sim.process(self._writeback_staging(ctx)))
-            attention_started = ctx.recorder.start()
-            yield ctx.sim.all_of(waits)
-            ctx.recorder.stop(LOAD_KV, attention_started)
-            # Attention outputs return to the host (2h per element, Eq. 3).
-            yield system.nsp_to_host(out_bytes, tag=LOAD_KV)
+        else:
+            # Spill synchronization + staged-entry DMA bookkeeping
+            # (the Figure 13 spill-interval sensitivity, Section 7.3).
             started = ctx.recorder.start()
-            yield self._run_gpu(ctx, mlp_flops, model.mlp_weight_bytes_per_layer(layer))
-            ctx.recorder.stop(HOST_COMPUTE, started)
-            if plan.spill_interval == 1:
-                # Naive writeback (Figure 6a): per-entry direct-I/O commits
-                # serialized on the host thread, plus the sub-page writes.
-                started = ctx.recorder.start()
-                yield system.write_nsp_from_host(
-                    plan.spill_bytes, granule=plan.spill_granule_bytes, tag=STORE_KV
-                )
-                yield ctx.sim.timeout(plan.naive_commit_seconds)
-                ctx.recorder.stop(STORE_KV, started)
-            else:
-                # Spill synchronization + staged-entry DMA bookkeeping
-                # (the Figure 13 spill-interval sensitivity, Section 7.3).
-                started = ctx.recorder.start()
-                yield ctx.sim.timeout(plan.per_layer_overhead_seconds())
-                ctx.recorder.stop(STORE_KV, started)
-            yield ctx.sim.timeout(self.per_layer_overhead_s)
+            yield ctx.sim.timeout(plan.per_layer_overhead_seconds())
+            ctx.recorder.stop(STORE_KV, started)
+        yield ctx.sim.timeout(self.per_layer_overhead_s)
 
     # --- prefill -----------------------------------------------------------------------------
 
