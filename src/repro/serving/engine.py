@@ -351,15 +351,21 @@ class NodeEngine:
             self.migrations += len(migrated)
             self.migrated_recompute_tokens += dropped_total
         if recovery is not None:
-            self.sim.schedule(recovery, self._recover)
+            self.sim.schedule(recovery, lambda: self._recover(recovery))
         if self.driver is not None:
             self.driver.note_death(self, migrated)
 
-    def _recover(self) -> None:
-        """Provisioning finished: the node is UP again (spot recovery)."""
+    def _recover(self, down_for: float | None = None) -> None:
+        """Provisioning finished: the node is UP again (spot recovery).
+
+        ``down_for`` is the outage's length when it is known exactly (a
+        spot recovery delay): the clock difference would round it.
+        """
         if self._state != "down":
             return  # the drain already finalized this engine
-        self.downtime_seconds += self.sim.now - self._down_since
+        if down_for is None:
+            down_for = self.sim.now - self._down_since
+        self.downtime_seconds += down_for
         self._state = "up"
         self._will_recover = False
         if self.driver is not None:
