@@ -42,6 +42,7 @@ from repro.sim.metrics import (
     StorageCounters,
     UtilizationSample,
 )
+from repro.sim.periodic import RelativeState, Totals, relative_state
 from repro.sim.topology import HardwareConfig, SystemModel, build_system
 
 
@@ -111,13 +112,15 @@ class LayerFeed:
     event did.
     """
 
-    __slots__ = ("cursor", "produced", "_sim", "_delivered", "_waiting", "_waiter")
+    __slots__ = ("cursor", "produced", "started", "_sim", "_delivered", "_waiting", "_waiter")
 
     def __init__(self, sim, cursor: LayerCursor, delivered: Event) -> None:
         self._sim = sim
         self.cursor = cursor
         #: Layers delivered so far, counted from the start of the step.
         self.produced = 0
+        #: When the transfer in flight was issued.
+        self.started = 0.0
         self._delivered = delivered
         self._waiting = 0
         self._waiter: Event | None = None
@@ -130,6 +133,16 @@ class LayerFeed:
         self._waiting = index
         self._waiter = Event(self._sim, name="layer_ready")
         return self._waiter
+
+    @property
+    def done(self) -> bool:
+        """Whether every layer of the step has been delivered."""
+        return self.produced + self.cursor.skipped >= self.cursor.n_layers
+
+    @property
+    def in_flight(self) -> int:
+        """The layer whose transfer is in flight (meaningless once done)."""
+        return self.produced + self.cursor.skipped
 
     def deliver(self) -> None:
         """Mark the next layer delivered, waking the step if it waits on it."""
@@ -164,11 +177,19 @@ class StepContext:
     recorder: PhaseRecorder
     cursor: LayerCursor | None = None
     feeds: dict[str, LayerFeed] = field(default_factory=dict)
+    #: Simulated seconds of the layer periods fast-forwarded so far.
+    skipped_seconds: float = 0.0
+    #: Per-layer inputs (see ``InferenceSystem._layer_inputs``).
+    layer_inputs: list[tuple] = field(default_factory=list)
 
     @property
     def sim(self):
         """The underlying simulator."""
         return self.system.sim
+
+    def clock(self) -> float:
+        """Elapsed simulated time, fast-forwarded periods included."""
+        return self.system.sim.now + self.skipped_seconds
 
     def ready(self, producer: str, layer: int) -> Event:
         """The event that fires once ``producer`` has delivered ``layer``."""
@@ -229,6 +250,19 @@ class InferenceSystem(abc.ABC):
         Must wait for everything it issues before it returns, so that
         nothing the step started is still in flight between layers.
         """
+
+    def _layer_inputs(self, ctx: StepContext, layer: int) -> tuple:
+        """Every input of the layer body and producers that varies by layer.
+
+        Fast-forwarding replays a period of layers only where these repeat
+        with the period; a body or producer that reads another
+        layer-dependent quantity must add it here.
+        """
+        model = self.model
+        return (
+            model.mlp_weight_bytes_per_layer(layer),
+            model.mlp_flops_per_layer(ctx.batch_size, layer),
+        )
 
     def _producers(self) -> tuple[LayerProducer, ...]:
         """The processes that run ahead of the step; weights by default."""
@@ -321,11 +355,14 @@ class InferenceSystem(abc.ABC):
             return MeasuredResult.out_of_memory(
                 self.name, self.model.name, batch_size, seq_len, note=str(exc)
             )
+        ctx.layer_inputs = [
+            self._layer_inputs(ctx, layer) for layer in range(self.model.n_layers)
+        ]
         for _ in range(warmup_steps):
             self._run_one_step(ctx)
         # Reset the recorder so breakdowns cover only measured steps.
         ctx.recorder = PhaseRecorder(system.sim)
-        measure_start = system.sim.now
+        measure_start = ctx.clock()
         # A device is "busy" when either its compute or its memory stream is
         # occupied; decode kernels are memory-bound, so the stream dominates.
         gpu_busy0 = max(system.gpu.compute.busy_seconds, system.gpu.hbm.busy_seconds)
@@ -333,7 +370,7 @@ class InferenceSystem(abc.ABC):
         written0 = self._storage_written(system)
         for _ in range(n_steps):
             self._run_one_step(ctx)
-        elapsed = system.sim.now - measure_start
+        elapsed = ctx.clock() - measure_start
         step_seconds = elapsed / n_steps
         gpu_busy1 = max(system.gpu.compute.busy_seconds, system.gpu.hbm.busy_seconds)
         cpu_busy1 = max(system.cpu.compute.busy_seconds, system.cpu.stream.busy_seconds)
@@ -378,18 +415,25 @@ class InferenceSystem(abc.ABC):
 
     def _produce(self, ctx: StepContext, producer: LayerProducer, feed: LayerFeed):
         """A producer's process: one transfer per layer, ahead of the step."""
-        cursor = ctx.cursor
-        while feed.produced + cursor.skipped < cursor.n_layers:
-            started = ctx.recorder.start()
-            yield producer.transfer(ctx, feed.produced + cursor.skipped)
+        while not feed.done:
+            feed.started = started = ctx.recorder.start()
+            yield producer.transfer(ctx, feed.in_flight)
             ctx.recorder.stop(producer.phase, started)
             feed.deliver()
 
     def _decode_step(self, ctx: StepContext):
-        """The decode step's process: the one per-layer loop of the DES."""
+        """The decode step's process: the one per-layer loop of the DES.
+
+        At each layer boundary a :class:`_FastForward` looks for a period
+        of layers whose simulation state repeats, and skips whole periods
+        once it proves one (see its docstring).
+        """
         cursor = ctx.cursor
+        forward: _FastForward | None = _FastForward(ctx)
         finished = 0
         while finished + cursor.skipped < cursor.n_layers:
+            if finished and forward is not None and not forward.at_boundary(finished):
+                forward = None
             yield from self._layer(ctx, finished + cursor.skipped)
             finished += 1
 
@@ -467,3 +511,112 @@ class InferenceSystem(abc.ABC):
             return float("inf"), float("inf"), float("inf")
         decode = result.step_seconds * output_tokens
         return result.prefill_seconds, decode, result.prefill_seconds + decode
+
+
+#: Longest layer period looked for.  GLaM interleaves dense and MoE
+#: layers, a period of 2; every other registry model has period 1.
+MAX_LAYER_PERIOD = 4
+
+
+class _FastForward:
+    """Skips whole periods of a decode step's layers once they repeat.
+
+    At each layer boundary -- the step has finished every request of the
+    previous layer, and only producers have transfers in flight -- it
+    takes the simulation's :func:`~repro.sim.periodic.relative_state`,
+    extended by each producer's lead in layers and the issue time of its
+    transfer, plus a :class:`~repro.sim.periodic.Totals` snapshot of every
+    accumulator.  When the state at boundary ``x`` matches the one at
+    ``x - p``, determinism proves that each following period replays
+    ``[x - p, x)`` for as long as the layer inputs of the step and of every
+    producer repeat with period ``p`` and no producer runs out of layers.
+    It then skips the ``m`` periods that allows: the shared cursor moves
+    ``m * p`` layers, and ``m`` times the period's increment is credited to
+    the clock and to every accumulator (channel busy time and work, flash
+    counters, the phase breakdown).  The event heap is not shifted and no
+    event is created for a skipped layer.  The layers left over, at least
+    one, are simulated for real.  A state that never repeats is simply
+    simulated layer by layer.
+    """
+
+    __slots__ = ("ctx", "drives", "history", "until")
+
+    def __init__(self, ctx: StepContext) -> None:
+        self.ctx = ctx
+        self.drives = ctx.system.drives()
+        #: Boundary layer -> (its state, its totals) for the last
+        #: ``MAX_LAYER_PERIOD`` describable boundaries.
+        self.history: dict[int, tuple[RelativeState, Totals]] = {}
+        #: ``until[p][l]``: the first layer from ``l`` whose inputs differ
+        #: from those ``p`` layers earlier (``n_layers`` if none does).
+        inputs = ctx.layer_inputs
+        n_layers = len(inputs)
+        self.until: list[list[int]] = [[]]
+        for period in range(1, MAX_LAYER_PERIOD + 1):
+            until = [n_layers] * (n_layers + 1)
+            for layer in range(n_layers - 1, period - 1, -1):
+                if inputs[layer] != inputs[layer - period]:
+                    until[layer] = layer
+                else:
+                    until[layer] = until[layer + 1]
+            self.until.append(until)
+
+    def at_boundary(self, finished: int) -> bool:
+        """Inspect the boundary before the step's next layer.
+
+        ``finished`` counts the layers the step has simulated.  Returns
+        ``False`` once no skip can follow: one was made, or a repeat was
+        found too close to the end to skip a whole period.
+        """
+        ctx = self.ctx
+        layer = finished + ctx.cursor.skipped
+        self.history.pop(layer - MAX_LAYER_PERIOD - 1, None)
+        state = self._state(finished)
+        if state is None:
+            return True
+        phases = ctx.recorder.breakdown.seconds
+        totals = Totals(ctx.sim, self.drives, phases)
+        for period in range(1, min(MAX_LAYER_PERIOD, layer) + 1):
+            earlier = self.history.get(layer - period)
+            if earlier is None or not state.matches(earlier[0]):
+                continue
+            times = self._periods(layer, period)
+            if times > 0:
+                ctx.skipped_seconds += earlier[1].credit(
+                    totals, times, ctx.sim, self.drives, phases
+                )
+                ctx.cursor.skipped += times * period
+            return False
+        self.history[layer] = (state, totals)
+        return True
+
+    def _state(self, finished: int) -> RelativeState | None:
+        sim = self.ctx.sim
+        now = sim.now
+        leads = []
+        issued = []
+        for feed in self.ctx.feeds.values():
+            if feed.done:
+                leads.append(None)
+            else:
+                leads.append(feed.produced - finished)
+                issued.append((feed.started - now, now))
+        return relative_state(sim, tuple(leads), issued)
+
+    def _periods(self, layer: int, period: int) -> int:
+        """How many periods can be skipped from boundary ``layer``.
+
+        The period that matched and every skipped one must read the same
+        inputs: the step's layers ``[layer - p, layer + m*p)`` and each
+        producer's transfers from the one in flight at ``layer - p`` to the
+        ``m*p``-th after the one in flight now must repeat with period
+        ``p``.  The step keeps at least one layer to simulate.
+        """
+        until = self.until[period]
+        n_layers = self.ctx.cursor.n_layers
+        times = (min(until[layer], n_layers - 1) - layer) // period
+        for feed in self.ctx.feeds.values():
+            if not feed.done:
+                in_flight = feed.in_flight
+                times = min(times, (until[in_flight] - 1 - in_flight) // period)
+        return max(times, 0)

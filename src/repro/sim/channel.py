@@ -106,6 +106,9 @@ class Channel:
         self._busy_time = 0.0
         self.total_work = 0.0
         self.work_by_tag: dict[str, float] = {}
+        #: Position in ``sim.channels``.
+        self.sim_index = len(sim.channels)
+        sim.channels.append(self)
 
     # --- public API ---------------------------------------------------------
 
@@ -160,6 +163,68 @@ class Channel:
     def in_flight(self) -> int:
         """Number of currently active shared-discipline flows."""
         return len(self._flow_heap)
+
+    # --- period detection --------------------------------------------------------
+
+    def relative_state(self, now: float):
+        """The channel's state relative to ``now``; ``None`` when idle.
+
+        Returns ``(key, values, scales)``.  ``key`` holds the discrete
+        state: each in-flight flow's request tag in completion order,
+        whether a timer is armed and whether it is still exact (no arrival
+        since arming), and whether the FIFO is booked past ``now``.
+        ``values`` holds the continuous state: each flow's remaining work,
+        the timer's delay and the FIFO's remaining booking, each with the
+        magnitude it was computed from in ``scales``, which bounds its
+        rounding.  Two equal states evolve identically from their
+        respective ``now``.
+        """
+        heap = self._flow_heap
+        timer = self._timer
+        ready = self._ready_at - now
+        if not heap and timer is None and ready <= 0.0:
+            return None
+        values: list[float] = []
+        scales: list[float] = []
+        tags = ()
+        if heap:
+            virtual = self._virtual + (now - self._last_update) * self.capacity / len(heap)
+            flows = sorted(heap)
+            tags = tuple(_request_tag(done) for _, _, done in flows)
+            for finish, _, _ in flows:
+                values.append(finish - virtual)
+                scales.append(max(abs(finish), abs(virtual)))
+        if timer is not None:
+            values.append(timer.time - now)
+            scales.append(max(abs(timer.time), abs(now)))
+        if ready > 0.0:
+            values.append(ready)
+            scales.append(max(abs(self._ready_at), abs(now)))
+        exact = timer is not None and self._armed_epoch == self._epoch
+        key = (tags, timer is not None, exact, ready > 0.0)
+        return key, values, scales
+
+    def armed_with(self, handle: ScheduledCallback) -> bool:
+        """Whether ``handle`` is this channel's live completion timer."""
+        return self._timer is handle
+
+    def totals(self, now: float) -> tuple[float, float, dict[str, float]]:
+        """``(busy seconds, total work, work by tag)`` as of ``now``.
+
+        Reads without advancing the channel, so taking totals never
+        changes how later arithmetic rounds.
+        """
+        busy = self._busy_time
+        if self._flow_heap and now > self._last_update:
+            busy += now - self._last_update
+        return busy, self.total_work, dict(self.work_by_tag)
+
+    def add_totals(self, busy: float, work: float, work_by_tag: dict[str, float]) -> None:
+        """Credit accounting for service simulated elsewhere (skipped layers)."""
+        self._busy_time += busy
+        self.total_work += work
+        for tag, amount in work_by_tag.items():
+            self.work_by_tag[tag] = self.work_by_tag.get(tag, 0.0) + amount
 
     # --- fifo discipline ------------------------------------------------------
 
@@ -260,6 +325,17 @@ class Channel:
         self._arm()
         for done in finished:
             done()
+
+
+def _request_tag(done: Callable[[], None]) -> str | None:
+    """The tag of the request a flow's completion callback belongs to.
+
+    Completions are ``Event.succeed`` or ``Barrier.arrive`` bound to the
+    event the requester waits on, which carries the request tag as its
+    name.
+    """
+    owner = getattr(done, "__self__", None)
+    return owner.name if isinstance(owner, Event) else None
 
 
 class ComputeResource(Channel):

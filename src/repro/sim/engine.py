@@ -314,6 +314,12 @@ class Simulator:
         self._sequence = 0
         self._processed = 0
         self._unobserved_failures: list[Event] = []
+        # The unrun tail of the batch being delivered, last entry first.
+        self._tail: list[tuple[int, Callable[[], None]]] = []
+        #: Every channel built on this simulator, in construction order
+        #: (each registers itself), so whole-machine accounting reaches
+        #: framework-private channels too.
+        self.channels: list = []
         if sanitize is None:
             from repro.analysis.sanitizer import sanitize_enabled_by_env
 
@@ -343,6 +349,21 @@ class Simulator:
     def events_processed(self) -> int:
         """Number of scheduled callbacks executed so far (for diagnostics)."""
         return self._processed
+
+    def pending_entries(self) -> list[tuple[float, int, Callable[[], None] | ScheduledCallback]] | None:
+        """Every live scheduled entry as ``(time, sequence, callback)``.
+
+        Cancelled timers are left out.  ``None`` while callbacks of the
+        batch being delivered are still to run: they left the heap when
+        the batch was popped, so the heap alone would not show them.
+        """
+        if self._tail:
+            return None
+        return [
+            entry
+            for entry in self._heap
+            if entry[2].__class__ is not ScheduledCallback or not entry[2].cancelled
+        ]
 
     def schedule(self, delay: float, callback: Callable[[], None]) -> None:
         """Run ``callback`` after ``delay`` simulated seconds."""
@@ -506,18 +527,21 @@ class Simulator:
         numbers, so ordering is preserved) for a later ``run()`` call --
         exactly the state one-at-a-time delivery would have left.
         """
-        index = 0
-        n = len(batch)
+        # Run from the end of the reversed batch, so that the entries still
+        # to run are always exactly ``self._tail``.
+        batch.reverse()
+        self._tail = batch
+        pop = batch.pop
         try:
-            while index < n:
-                callback = batch[index][1]
-                index += 1
+            while batch:
+                callback = pop()[1]
                 self._processed += 1
                 callback()
                 if stop_event is not None and stop_event.triggered:
                     break
         finally:
-            if index < n:
+            if batch:
                 now = self._now
-                for sequence, callback in batch[index:]:
+                for sequence, callback in batch:
                     heapq.heappush(self._heap, (now, sequence, callback))
+                batch.clear()

@@ -324,6 +324,10 @@ class SystemModel:
             self.ssds, self.ssd_group.multiplier
         ) + self.smartssd_flash_counters()
 
+    def drives(self) -> list[SSD]:
+        """Every simulated flash drive: conventional SSDs, then NSP flash."""
+        return self.ssds + [dev.flash for dev in self.smartssds]
+
     def smartssd_flash_counters(self) -> StorageCounters:
         """Byte counters over the logical NSP array's flash drives."""
         return StorageCounters.of_drives(

@@ -120,23 +120,50 @@ def derive() -> dict[str, dict]:
     return {name: derive_cell(name) for name in cells()}
 
 
-def differences(pinned, derived, rel: float, path: str = "") -> list[tuple[str, float]]:
-    """``(path, relative change)`` of every leaf beyond ``rel``.
+#: Leaves whose values are fractions of a larger quantity, compared at the
+#: scale of that quantity: each breakdown phase against the breakdown's
+#: total, each utilization (busy time over elapsed time) against 1.
+SCALED_GROUPS = ("breakdown", "utilization")
 
-    Structural mismatches (a key, a type, a bool or an int) report an
-    infinite change; ``rel=0`` asks for bit-identity.
+
+def differences(pinned: dict, derived: dict, rel: float) -> list[tuple[str, float]]:
+    """``(path, relative change)`` of every leaf of a cell beyond ``rel``.
+
+    A leaf's change is relative to its own magnitude, except in
+    :data:`SCALED_GROUPS`.  A phase or busy time of a few microseconds per
+    layer is a difference of clock readings tens of seconds apart, so its
+    own float rounding is ~1e-9 of itself; measured against the quantity
+    it is a share of, it carries the clock's precision like every other
+    leaf.  Structural mismatches (a key, a type, a bool or an int) report
+    an infinite change; ``rel=0`` asks for bit-identity.
     """
+    if pinned.keys() != derived.keys():
+        return [("<cell>", float("inf"))]
+    out = []
+    for key in pinned:
+        scale = 0.0
+        if key == "breakdown" and isinstance(pinned[key], dict):
+            scale = sum(pinned[key].values())
+        elif key == "utilization":
+            scale = 1.0
+        out += _leaf_differences(pinned[key], derived[key], rel, scale, f"/{key}")
+    return out
+
+
+def _leaf_differences(pinned, derived, rel: float, scale: float, path: str):
     if isinstance(pinned, dict) and isinstance(derived, dict):
         if pinned.keys() != derived.keys():
-            return [(path or "<root>", float("inf"))]
+            return [(path, float("inf"))]
         out = []
         for key in pinned:
-            out += differences(pinned[key], derived[key], rel, f"{path}/{key}")
+            out += _leaf_differences(pinned[key], derived[key], rel, scale, f"{path}/{key}")
         return out
     if isinstance(pinned, float) and isinstance(derived, float):
         if pinned == derived:
             return []
-        scale = max(abs(pinned), abs(derived))
-        change = abs(pinned - derived) / scale if scale not in (0.0, float("inf")) else float("inf")
+        magnitude = max(abs(pinned), abs(derived), scale)
+        if magnitude in (0.0, float("inf")):
+            return [(path, float("inf"))]
+        change = abs(pinned - derived) / magnitude
         return [(path, change)] if change > rel else []
     return [] if pinned == derived and type(pinned) is type(derived) else [(path, float("inf"))]
