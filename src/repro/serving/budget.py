@@ -279,14 +279,6 @@ class BudgetTracker:
             self._check_integral(request.request_id, held, share)
             self._check_occupancy(request.request_id)
 
-    def growth_bytes(self, request: ServingRequest) -> float:
-        """Bytes the next generated token appends to ``request``'s cache.
-
-        KV bytes are linear in context, so this is :attr:`token_bytes` for
-        every request.
-        """
-        return float(self.token_bytes)
-
     def release(self, request: ServingRequest) -> None:
         """Return a completed request's reservation to the pool."""
         try:

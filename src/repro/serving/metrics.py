@@ -314,16 +314,6 @@ class ServingReport:
         """Whether every request either completed or was explicitly shed."""
         return self.completed + self.shed_requests == self.n_requests
 
-    def per_class_mean_latency(self) -> dict[str, float]:
-        """Mean latency split by request class (Short/Medium/Long)."""
-        sums: dict[str, list[float]] = {}
-        for request in self.requests:
-            if request.finished:
-                sums.setdefault(request.request_class.name, []).append(
-                    request.latency_seconds
-                )
-        return {name: sum(vals) / len(vals) for name, vals in sums.items()}
-
 
 @dataclass
 class _Summary:

@@ -275,14 +275,6 @@ class ServingRequest:
         """
         return float(model.kv_cache_bytes(1, self.final_context_tokens))
 
-    def kv_current_bytes(self, model: ModelConfig) -> float:
-        """KV bytes at the *current* context length."""
-        return float(
-            model.kv_cache_bytes(
-                1, self.request_class.input_tokens + self.tokens_generated
-            )
-        )
-
     def kv_admission_bytes(self, model: ModelConfig) -> float:
         """KV bytes charged at optimistic admission: the current context
         plus the token the prefill pass emits on completion.

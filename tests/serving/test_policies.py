@@ -142,7 +142,7 @@ class TestContinuousBatching:
         # even one final context, so the two accountings disagree.
         growthy_class = RequestClass("Growthy", input_tokens=32, output_tokens=600)
         growthy = make_request_queue([growthy_class] * 3)
-        prompt_bytes = growthy[0].kv_current_bytes(model)
+        prompt_bytes = float(model.kv_cache_bytes(1, growthy_class.input_tokens))
         tracker = tracker_for(model, capacity_bytes=prompt_bytes * 3.2)
         waiting = deque(growthy)
         assert ContinuousBatching(8).admit(deque(growthy), [], tracker) == []

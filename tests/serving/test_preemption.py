@@ -14,6 +14,7 @@ from repro.serving import (
     OfflineServingScheduler,
     make_request_queue,
 )
+from repro.serving.request import total_weight
 from repro.workloads import sample_request_classes
 from repro.workloads.requests import LONG, RequestClass
 
@@ -138,9 +139,10 @@ class TestPreemptionRoundTrip:
         engine.prefilling.append(request)
         engine._advance_prefill(optimistic=True)
         assert engine.running == [request]
-        assert engine.tracker.reserved_bytes == pytest.approx(
-            request.kv_current_bytes(tiny_mha)
-        )
+        # The ledger entry the engine re-marked: the current context.
+        current = request.context_tokens * engine.tracker.token_bytes
+        assert engine.tracker._held == {request.request_id: current}
+        assert engine.tracker.reserved_bytes == current
 
 
 class TestOptimisticVsReserve:
@@ -247,7 +249,8 @@ class TestOverflowResolution:
             == engine.waiting[0].context_tokens
         )
         assert engine.waiting[0].prefill_tokens_done == 0
-        growth = sum(engine.tracker.growth_bytes(r) for r in engine.running)
+        # The growth the engine checks before the next decode iteration.
+        growth = float(total_weight(engine.running) * engine.tracker.token_bytes)
         assert engine.tracker.fits_bytes(growth)
 
     def test_prefilling_admissions_evicted_before_running_decodes(
