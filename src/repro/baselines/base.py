@@ -514,8 +514,10 @@ class InferenceSystem(abc.ABC):
 
 
 #: Longest layer period looked for.  GLaM interleaves dense and MoE
-#: layers, a period of 2; every other registry model has period 1.
-MAX_LAYER_PERIOD = 4
+#: layers, a period of 2; every other registry model has period 1.  Each
+#: boundary keeps ``MAX_LAYER_PERIOD`` earlier states and totals, so a
+#: longer horizon costs memory on every step.
+MAX_LAYER_PERIOD = 2
 
 
 class _FastForward:
@@ -565,8 +567,7 @@ class _FastForward:
         """Inspect the boundary before the step's next layer.
 
         ``finished`` counts the layers the step has simulated.  Returns
-        ``False`` once no skip can follow: one was made, or a repeat was
-        found too close to the end to skip a whole period.
+        ``False`` once a skip is made: none can follow it.
         """
         ctx = self.ctx
         layer = finished + ctx.cursor.skipped
@@ -581,11 +582,10 @@ class _FastForward:
             if earlier is None or not state.matches(earlier[0]):
                 continue
             times = self._periods(layer, period)
-            if times > 0:
-                ctx.skipped_seconds += earlier[1].credit(
-                    totals, times, ctx.sim, self.drives, phases
-                )
-                ctx.cursor.skipped += times * period
+            if times == 0:
+                break  # the inputs change within a period: look further on
+            ctx.skipped_seconds += earlier[1].credit(totals, times, self.drives, phases)
+            ctx.cursor.skipped += times * period
             return False
         self.history[layer] = (state, totals)
         return True

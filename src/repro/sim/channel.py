@@ -106,9 +106,8 @@ class Channel:
         self._busy_time = 0.0
         self.total_work = 0.0
         self.work_by_tag: dict[str, float] = {}
-        #: Position in ``sim.channels``.
-        self.sim_index = len(sim.channels)
-        sim.channels.append(self)
+        #: Registration order among the simulator's channels.
+        self.sim_index = sim.register_channel(self)
 
     # --- public API ---------------------------------------------------------
 
@@ -208,23 +207,30 @@ class Channel:
         """Whether ``handle`` is this channel's live completion timer."""
         return self._timer is handle
 
-    def totals(self, now: float) -> tuple[float, float, dict[str, float]]:
-        """``(busy seconds, total work, work by tag)`` as of ``now``.
+    def totals(self, now: float) -> tuple[float, float, tuple[float, ...]]:
+        """``(busy seconds, total work, work per tag)`` as of ``now``.
 
-        Reads without advancing the channel, so taking totals never
-        changes how later arithmetic rounds.
+        Work per tag follows :attr:`work_by_tag`'s key order, which only
+        ever grows at the end, so an earlier snapshot's values line up
+        with a later one's first keys.  Reads without advancing the
+        channel, so taking totals never changes how later arithmetic
+        rounds.
         """
         busy = self._busy_time
         if self._flow_heap and now > self._last_update:
             busy += now - self._last_update
-        return busy, self.total_work, dict(self.work_by_tag)
+        return busy, self.total_work, tuple(self.work_by_tag.values())
 
-    def add_totals(self, busy: float, work: float, work_by_tag: dict[str, float]) -> None:
-        """Credit accounting for service simulated elsewhere (skipped layers)."""
+    def add_totals(self, busy: float, work: float, per_tag: list[float]) -> None:
+        """Credit service simulated elsewhere (skipped layers).
+
+        ``per_tag`` lines up with :attr:`work_by_tag`'s current keys.
+        """
         self._busy_time += busy
         self.total_work += work
-        for tag, amount in work_by_tag.items():
-            self.work_by_tag[tag] = self.work_by_tag.get(tag, 0.0) + amount
+        by_tag = self.work_by_tag
+        for tag, amount in zip(list(by_tag), per_tag):
+            by_tag[tag] += amount
 
     # --- fifo discipline ------------------------------------------------------
 

@@ -14,6 +14,7 @@ enough to reason about and to property-test (see
 from __future__ import annotations
 
 import heapq
+import weakref
 from typing import Any, Callable, Generator, Iterable
 
 from repro.errors import SimulationError
@@ -316,10 +317,10 @@ class Simulator:
         self._unobserved_failures: list[Event] = []
         # The unrun tail of the batch being delivered, last entry first.
         self._tail: list[tuple[int, Callable[[], None]]] = []
-        #: Every channel built on this simulator, in construction order
-        #: (each registers itself), so whole-machine accounting reaches
-        #: framework-private channels too.
-        self.channels: list = []
+        # Channels built on this simulator, held weakly: a channel refers
+        # to its simulator, and a strong list back would make every
+        # simulation a reference cycle that only the collector frees.
+        self._channels: list[weakref.ref] = []
         if sanitize is None:
             from repro.analysis.sanitizer import sanitize_enabled_by_env
 
@@ -349,6 +350,20 @@ class Simulator:
     def events_processed(self) -> int:
         """Number of scheduled callbacks executed so far (for diagnostics)."""
         return self._processed
+
+    def register_channel(self, channel: Any) -> int:
+        """Record a channel built on this simulator; returns its index."""
+        self._channels.append(weakref.ref(channel))
+        return len(self._channels) - 1
+
+    @property
+    def channels(self) -> list:
+        """Every live channel built on this simulator, in construction order.
+
+        Channels register themselves, so whole-machine accounting reaches
+        framework-private channels too.
+        """
+        return [channel for channel in (ref() for ref in self._channels) if channel is not None]
 
     def pending_entries(self) -> list[tuple[float, int, Callable[[], None] | ScheduledCallback]] | None:
         """Every live scheduled entry as ``(time, sequence, callback)``.

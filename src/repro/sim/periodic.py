@@ -78,12 +78,12 @@ def relative_state(
     key: list[Any] = [tuple(i for _, _, i in timers), extra_key]
     values: list[float] = []
     scales: list[float] = []
-    for i, channel in enumerate(sim.channels):
+    for channel in sim.channels:
         state = channel.relative_state(now)
         if state is None:
             continue
         channel_key, channel_values, channel_scales = state
-        key.append((i, channel_key))
+        key.append((channel.sim_index, channel_key))
         values += channel_values
         scales += channel_scales
     for value, scale in extra:
@@ -95,12 +95,13 @@ def relative_state(
 class Totals:
     """Every caller-visible accumulator of a simulation, at one instant."""
 
-    __slots__ = ("now", "channels", "drives", "phases")
+    __slots__ = ("now", "channels", "totals", "drives", "phases")
 
     def __init__(self, sim: Simulator, drives: list, phases: dict[str, float]) -> None:
         now = sim.now
         self.now = now
-        self.channels = [channel.totals(now) for channel in sim.channels]
+        self.channels = sim.channels
+        self.totals = [channel.totals(now) for channel in self.channels]
         self.drives = [
             (
                 drive.logical_bytes_read,
@@ -112,12 +113,7 @@ class Totals:
         self.phases = dict(phases)
 
     def credit(
-        self,
-        later: "Totals",
-        times: int,
-        sim: Simulator,
-        drives: list,
-        phases: dict[str, float],
+        self, later: "Totals", times: int, drives: list, phases: dict[str, float]
     ) -> float:
         """Add ``times`` x (``later`` - ``self``) to every accumulator.
 
@@ -125,14 +121,16 @@ class Totals:
         itself is not moved.
         """
         for channel, (busy0, work0, tags0), (busy1, work1, tags1) in zip(
-            sim.channels, self.channels, later.channels
+            self.channels, self.totals, later.totals
         ):
             if work1 == work0 and busy1 == busy0:
                 continue
+            first = len(tags0)
             channel.add_totals(
                 times * (busy1 - busy0),
                 times * (work1 - work0),
-                {tag: times * (amount - tags0.get(tag, 0.0)) for tag, amount in tags1.items()},
+                [times * (amount - tags0[i]) for i, amount in enumerate(tags1[:first])]
+                + [times * amount for amount in tags1[first:]],
             )
         for drive, before, after in zip(drives, self.drives, later.drives):
             drive.logical_bytes_read += times * (after[0] - before[0])
