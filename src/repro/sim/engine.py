@@ -542,6 +542,11 @@ class Simulator:
         numbers, so ordering is preserved) for a later ``run()`` call --
         exactly the state one-at-a-time delivery would have left.
         """
+        if len(batch) == 1:
+            # Nothing can be left behind; ``self._tail`` stays empty.
+            self._processed += 1
+            batch[0][1]()
+            return
         # Run from the end of the reversed batch, so that the entries still
         # to run are always exactly ``self._tail``.
         batch.reverse()
