@@ -588,7 +588,7 @@ class ClusterScheduler:
             )
             for engine in engines
         )
-        return self._report(
+        report = self._report(
             sim,
             engines,
             counters_before,
@@ -598,6 +598,9 @@ class ClusterScheduler:
             sheds=tuple(driver.sheds),
             scale_events=tuple(autoscaler.events) if autoscaler is not None else (),
         )
+        for engine in engines:
+            engine.driver = None
+        return report
 
     @property
     def fleet_name(self) -> str:
