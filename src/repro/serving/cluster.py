@@ -598,6 +598,9 @@ class ClusterScheduler:
             sheds=tuple(driver.sheds),
             scale_events=tuple(autoscaler.events) if autoscaler is not None else (),
         )
+        # Engines and driver point at each other: unlink them so the
+        # finished drain is freed by reference counting, not by a
+        # collector pass whose timing shifts peak memory.
         for engine in engines:
             engine.driver = None
         return report
